@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/stop_token.hpp"
-#include "problems/spec.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
 
@@ -117,20 +116,20 @@ struct ServiceCore {
 
 namespace {
 
-/// Lock order everywhere: core.m before job.m, never the reverse.
+/// Lock order everywhere: core.m before job.m, never the reverse.  The
+/// first terminal status sticks: a later finish() of the same job is a
+/// no-op, so the terminal transition callback is always the last one.
 void finish(const std::shared_ptr<JobState>& job, JobStatus status,
             SolveReport report, std::string error) {
-  bool first_finish = false;
   {
     std::lock_guard<std::mutex> guard(job->m);
-    first_finish = !is_terminal(job->status);
+    if (is_terminal(job->status)) return;
     job->report = std::move(report);
     job->error = std::move(error);
     job->status = status;
   }
-  if (first_finish && job->core != nullptr) {
-    // Lifetime counters for ServiceStats; only the first terminal
-    // transition counts (shutdown may re-finish an already-drained job).
+  if (job->core != nullptr) {
+    // Lifetime counters for ServiceStats.
     switch (status) {
       case JobStatus::kDone:
         job->core->completed.fetch_add(1, std::memory_order_relaxed);
@@ -149,12 +148,36 @@ void finish(const std::shared_ptr<JobState>& job, JobStatus status,
     }
   }
   job->cv.notify_all();
+  if (job->stream.on_transition) job->stream.on_transition(status);
 }
 
 void finish_cancelled(const std::shared_ptr<JobState>& job) {
   SolveReport report;
   report.cancelled = true;
   finish(job, JobStatus::kCancelled, std::move(report), {});
+}
+
+/// Wake the dispatcher after a cancel/preempt flag flip.  Its wait
+/// predicate reads the flags under core.m, so notifying while holding
+/// core.m keeps the notify from landing between that check and the wait,
+/// where it would be lost.
+void wake_dispatcher(const JobState& job) {
+  if (job.core == nullptr) return;
+  const std::lock_guard<std::mutex> guard(job.core->m);
+  job.core->cv.notify_all();
+}
+
+/// Raise the cancel flag under job.m and wake the job's own waiters: a
+/// retry backoff waits on job.cv for this flag, so a cancel ends it at
+/// once.  False (and no flag) when the job is already terminal.
+bool request_cancel(JobState& job) {
+  {
+    std::lock_guard<std::mutex> guard(job.m);
+    if (is_terminal(job.status)) return false;
+    job.cancel.store(true, std::memory_order_relaxed);
+  }
+  job.cv.notify_all();
+  return true;
 }
 
 bool terminal(const std::shared_ptr<JobState>& job) {
@@ -220,12 +243,8 @@ std::string JobHandle::error() const {
 
 bool JobHandle::cancel() const {
   detail::JobState& job = state();
-  {
-    std::lock_guard<std::mutex> guard(job.m);
-    if (is_terminal(job.status)) return false;
-  }
-  job.cancel.store(true, std::memory_order_relaxed);
-  if (job.core != nullptr) job.core->cv.notify_all();
+  if (!detail::request_cancel(job)) return false;
+  detail::wake_dispatcher(job);
   return true;
 }
 
@@ -238,7 +257,7 @@ bool JobHandle::suspend() const {
   job.preempt.store(true, std::memory_order_relaxed);
   // Wake the dispatcher so a still-queued job resolves promptly (a running
   // job observes the flag through its engine polls instead).
-  if (job.core != nullptr) job.core->cv.notify_all();
+  detail::wake_dispatcher(job);
   return true;
 }
 
@@ -278,10 +297,13 @@ void set_status(const std::shared_ptr<detail::JobState>& job,
                 JobStatus status) {
   {
     std::lock_guard<std::mutex> guard(job->m);
-    if (is_terminal(job->status)) return;  // never un-finish a job
+    // Never un-finish a job; a retry without backoff re-enters kRunning
+    // from kRunning, which is no transition.
+    if (is_terminal(job->status) || job->status == status) return;
     job->status = status;
   }
   job->cv.notify_all();
+  if (job->stream.on_transition) job->stream.on_transition(status);
 }
 
 /// Supervises one attempt: fires `stalled` when `heartbeat` does not move
@@ -293,14 +315,18 @@ std::jthread spawn_watchdog(std::uint64_t stall_ms,
   return std::jthread([stall_ms, heartbeat, stalled](std::stop_token stop) {
     using Clock = std::chrono::steady_clock;
     const auto budget = std::chrono::milliseconds(stall_ms);
-    // Poll in small chunks so disarming (and firing) stays prompt even
-    // against multi-second budgets.
+    // Check the heartbeat in small chunks so firing stays prompt even
+    // against multi-second budgets.  Nothing notifies `cv`: each wait ends
+    // on its timeout, or at once when the jthread's stop is requested.
     const auto chunk = std::chrono::milliseconds(
         std::clamp<std::uint64_t>(stall_ms / 8, 1, 50));
+    std::mutex m;
+    std::condition_variable_any cv;
+    std::unique_lock<std::mutex> lock(m);
     std::uint64_t last = heartbeat->load(std::memory_order_relaxed);
     Clock::time_point last_progress = Clock::now();
-    while (!stop.stop_requested()) {
-      std::this_thread::sleep_for(chunk);
+    while (!cv.wait_for(lock, stop, chunk, [] { return false; }) &&
+           !stop.stop_requested()) {
       const std::uint64_t beats = heartbeat->load(std::memory_order_relaxed);
       if (beats != last) {
         last = beats;
@@ -396,16 +422,17 @@ std::uint64_t backoff_ms_for(const RetryPolicy& retry, std::uint32_t attempt,
   return static_cast<std::uint64_t>(ms);
 }
 
-/// Cancellation-aware backoff sleep; true when the job was cancelled.
-bool backoff_sleep(const std::shared_ptr<detail::JobState>& job,
-                   std::uint64_t ms) {
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point until = Clock::now() + std::chrono::milliseconds(ms);
-  while (Clock::now() < until) {
-    if (job->cancel.load(std::memory_order_relaxed)) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  return job->cancel.load(std::memory_order_relaxed);
+/// Cancellation-aware backoff wait; true when the job was cancelled.
+/// request_cancel raises the flag under job->m and notifies job->cv, so a
+/// cancel ends the wait at once.
+bool backoff_wait(const std::shared_ptr<detail::JobState>& job,
+                  std::uint64_t ms) {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+  std::unique_lock<std::mutex> lock(job->m);
+  return job->cv.wait_until(lock, until, [&] {
+    return job->cancel.load(std::memory_order_relaxed);
+  });
 }
 
 void run_admitted_job(const std::shared_ptr<detail::ServiceCore>& core,
@@ -471,7 +498,7 @@ void run_admitted_job(const std::shared_ptr<detail::ServiceCore>& core,
           backoff_ms_for(retry, attempt, backoff_rng);
       if (backoff != 0) {
         set_status(job, JobStatus::kRetrying);
-        if (backoff_sleep(job, backoff)) {
+        if (backoff_wait(job, backoff)) {
           cancelled_between_attempts = true;
           break;
         }
@@ -708,9 +735,7 @@ void SolverService::shutdown() {
     core_->fifo.clear();
   }
   for (const detail::Worker& worker : workers) {
-    for (const auto& job : worker.jobs) {
-      job->cancel.store(true, std::memory_order_relaxed);
-    }
+    for (const auto& job : worker.jobs) (void)detail::request_cancel(*job);
   }
   core_->cv.notify_all();
   // Jobs never admitted finish as cancelled here (the dispatcher may
@@ -734,11 +759,11 @@ JobHandle SolverService::submit(SolveRequest request, JobStream stream) {
     throw_if_shutdown();
   }
 
-  // Validate the instance and the pool configuration now so the caller
-  // gets the diagnostic (with the valid problem names / the offending
-  // knob) at the submission site, not from a failed job.
-  (void)problems::parse_spec(request.problem);
-  parallel::validate_options(request.to_pool_options());
+  // Validate the instance, the pool configuration and any warm start or
+  // checkpoint now so the caller gets the diagnostic (with the valid
+  // problem names / the offending member) at the submission site, not
+  // from a failed job.
+  request.validate();
 
   auto job = std::make_shared<detail::JobState>();
   job->request = std::move(request);
@@ -768,10 +793,7 @@ std::vector<JobHandle> SolverService::submit_batch(
   }
 
   // All-or-nothing validation before any member is enqueued.
-  for (const SolveRequest& request : requests) {
-    (void)problems::parse_spec(request.problem);
-    parallel::validate_options(request.to_pool_options());
-  }
+  for (const SolveRequest& request : requests) request.validate();
 
   std::vector<std::shared_ptr<detail::JobState>> jobs;
   jobs.reserve(requests.size());

@@ -19,8 +19,12 @@
 // Cancellation: cancel() flips the job's flag.  A queued job finishes
 // immediately (kCancelled, empty report); a running job stops within one
 // engine polling period and its report carries the best configuration
-// reached so far (the anytime contract) with `cancelled` set.  Destroying
-// the service cancels every outstanding job and joins all workers.
+// reached so far (the anytime contract) with `cancelled` set; a job backing
+// off between attempts wakes at once and finishes kCancelled.  Destroying
+// the service cancels every outstanding job and joins all workers.  No
+// path sleeps on a timer: the dispatcher, backoffs and the stall watchdog
+// all wait on condition variables that cancel, suspend, budget returns
+// and disarming notify.
 //
 // Self-healing: an attempt that crashes wholesale (every walker failed, or
 // the dispatch path threw) or stalls (no engine heartbeat for the
@@ -69,17 +73,6 @@ struct ServiceStats {
   [[nodiscard]] bool operator==(const ServiceStats&) const = default;
 };
 
-/// Streaming subscription for a submitted job: `on_sample` receives
-/// (walker_id, iteration, cost) from walker threads while attempts run (see
-/// SolveCallbacks::sample_sink) — the transport lifts nonincreasing
-/// best-cost events out of it.  Retried attempts stream too, so a consumer
-/// wanting monotone output must filter (samples restart at the retry's
-/// starting cost).  Empty on_sample or zero period disables streaming.
-struct JobStream {
-  std::function<void(std::size_t, std::uint64_t, csp::Cost)> on_sample;
-  std::uint64_t sample_period = 0;
-};
-
 enum class JobStatus {
   kQueued,     ///< admitted to the FIFO, waiting for budget
   kRunning,    ///< leased threads, walkers executing
@@ -99,6 +92,26 @@ enum class JobStatus {
   return status == JobStatus::kDone || status == JobStatus::kCancelled ||
          status == JobStatus::kPreempted || status == JobStatus::kFailed;
 }
+
+/// Streaming subscription for a submitted job: `on_sample` receives
+/// (walker_id, iteration, cost) from walker threads while attempts run (see
+/// SolveCallbacks::sample_sink) — the transport lifts nonincreasing
+/// best-cost events out of it.  Retried attempts stream too, so a consumer
+/// wanting monotone output must filter (samples restart at the retry's
+/// starting cost).  Empty on_sample or zero period disables streaming.
+///
+/// `on_transition` fires once per status change after kQueued — running,
+/// retrying, degraded, then exactly one terminal status, always last — with
+/// the new status already visible through JobHandle::status() and wait()ers
+/// already woken.  It runs on service threads, sometimes with the service's
+/// internal lock held, so it may take only a leaf lock (one held around
+/// nothing but its own state) and must not call into the service or block.
+/// It must stay valid until the job is terminal.
+struct JobStream {
+  std::function<void(std::size_t, std::uint64_t, csp::Cost)> on_sample;
+  std::uint64_t sample_period = 0;
+  std::function<void(JobStatus)> on_transition;
+};
 
 [[nodiscard]] std::string_view name_of(JobStatus status);
 

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "problems/spec.hpp"
+
 namespace cspls::api {
 
 // ---------------------------------------------------------------------------
@@ -211,6 +213,15 @@ parallel::WalkerPoolOptions SolveRequest::to_pool_options() const {
   options.warm_start = warm_start;
   options.resume = resume_from;
   return options;
+}
+
+void SolveRequest::validate() const {
+  const problems::ProblemSpec spec = problems::parse_spec(problem);
+  const parallel::WalkerPoolOptions options = to_pool_options();
+  parallel::validate_options(options);
+  if (warm_start.has_value() || resume_from.has_value()) {
+    parallel::validate_configurations(*problems::instantiate(spec), options);
+  }
 }
 
 util::Json SolveRequest::to_json() const {

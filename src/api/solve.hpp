@@ -146,6 +146,15 @@ struct SolveRequest {
   /// The equivalent WalkerPool configuration.
   [[nodiscard]] parallel::WalkerPoolOptions to_pool_options() const;
 
+  /// Submission-time check for the entry points that queue a request
+  /// (api::SolverService, serve::Scheduler): the problem spec parses, the
+  /// pool options pass parallel::validate_options, and warm_start /
+  /// resume_from pass parallel::validate_configurations against the
+  /// instance (built only when one of them is present).  Throws
+  /// std::invalid_argument naming the offending member, which the serving
+  /// tier answers as `bad_request`.
+  void validate() const;
+
   [[nodiscard]] util::Json to_json() const;
   [[nodiscard]] std::string to_json_string(int indent = 0) const;
   /// Throws std::invalid_argument naming the offending member on a

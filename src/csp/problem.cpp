@@ -98,6 +98,10 @@ Cost PermutationProblem::assign(std::span<const int> values) {
   if (values.size() != values_.size()) {
     throw std::invalid_argument("assign: size mismatch");
   }
+  if (!is_permutation_of(values, values_)) {
+    throw std::invalid_argument(
+        "assign: not a permutation of the model's value set");
+  }
   std::copy(values.begin(), values.end(), values_.begin());
   cost_ = on_rebind();
   return cost_;

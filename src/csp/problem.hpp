@@ -59,6 +59,10 @@ class Problem {
 
   /// Replace the configuration wholesale (e.g. adopting an elite
   /// configuration in dependent multi-walk) and rebuild incremental state.
+  /// `values` must be a permutation of the current configuration — the
+  /// only states swaps reach; PermutationProblem throws
+  /// std::invalid_argument otherwise, because a value outside the model's
+  /// set would index its tables out of bounds.
   virtual Cost assign(std::span<const int> values) = 0;
 
   /// Cached total cost of the current configuration (kept in sync by swaps).

@@ -114,22 +114,9 @@ JobExecution::JobExecution(const csp::Problem& prototype,
                           : util::fault::Schedule{}),
       threaded_(options.scheduling == Scheduling::kThreads),
       race_(threaded_ && options.termination == Termination::kFirstFinisher) {
-  if (options_.warm_start.has_value() &&
-      options_.warm_start->size() != prototype.num_variables()) {
-    throw std::invalid_argument(
-        "WalkerPoolOptions: warm_start has " +
-        std::to_string(options_.warm_start->size()) + " values but \"" +
-        std::string(prototype.name()) + "\" has " +
-        std::to_string(prototype.num_variables()) + " variables");
-  }
+  validate_configurations(prototype, options_);
   if (options_.resume.has_value()) {
     const PoolCheckpoint& resume = *options_.resume;
-    if (resume.walkers.size() != k_) {
-      throw std::invalid_argument(
-          "WalkerPoolOptions: resume checkpoint has " +
-          std::to_string(resume.walkers.size()) + " walkers but the pool has " +
-          std::to_string(k_));
-    }
     if (resume.elite.size() != comm_.num_slots()) {
       throw std::invalid_argument(
           "WalkerPoolOptions: resume checkpoint has " +

@@ -42,7 +42,7 @@ namespace cspls::parallel::detail {
 
 class JobExecution {
  public:
-  /// Validates `options` (validate_options + warm-start arity) and
+  /// Validates `options` (validate_options + validate_configurations) and
   /// preallocates every per-run structure; throws std::invalid_argument
   /// before any walker work on a degenerate configuration.  `prototype` and
   /// `options` are borrowed and must outlive the execution.

@@ -1,7 +1,9 @@
 #include "parallel/walker_pool.hpp"
 
 #include <atomic>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -52,6 +54,50 @@ void validate_options(const WalkerPoolOptions& options) {
     throw std::invalid_argument(
         "WalkerPoolOptions: communication.decay is meaningless for the "
         "elite strategy (it never forgets); use Exchange::kDecayElite");
+  }
+}
+
+void validate_configurations(const csp::Problem& prototype,
+                             const WalkerPoolOptions& options) {
+  const std::size_t n = prototype.num_variables();
+  const auto require = [&](std::span<const int> values,
+                           const std::string& what) {
+    if (values.size() != n) {
+      throw std::invalid_argument(
+          "WalkerPoolOptions: " + what + " has " +
+          std::to_string(values.size()) + " values but \"" +
+          prototype.name() + "\" has " + std::to_string(n) + " variables");
+    }
+    if (!csp::is_permutation_of(values, prototype.values())) {
+      throw std::invalid_argument("WalkerPoolOptions: " + what +
+                                  " is not a permutation of \"" +
+                                  prototype.name() + "\"'s value set");
+    }
+  };
+  if (options.warm_start.has_value()) require(*options.warm_start, "warm_start");
+  if (!options.resume.has_value()) return;
+  const PoolCheckpoint& resume = *options.resume;
+  if (resume.walkers.size() != options.num_walkers) {
+    throw std::invalid_argument(
+        "WalkerPoolOptions: resume checkpoint has " +
+        std::to_string(resume.walkers.size()) + " walkers but the pool has " +
+        std::to_string(options.num_walkers));
+  }
+  for (std::size_t i = 0; i < resume.walkers.size(); ++i) {
+    const PoolCheckpoint::WalkerEntry& entry = resume.walkers[i];
+    const std::string walker = "resume walker " + std::to_string(i);
+    if (entry.stage == PoolCheckpoint::WalkerStage::kRunning) {
+      require(entry.checkpoint.values, walker + " configuration");
+      require(entry.checkpoint.best, walker + " best configuration");
+    } else if (entry.stage == PoolCheckpoint::WalkerStage::kDone &&
+               !entry.result.solution.empty()) {
+      require(entry.result.solution, walker + " solution");
+    }
+  }
+  for (std::size_t i = 0; i < resume.elite.size(); ++i) {
+    if (resume.elite[i].has_entry) {
+      require(resume.elite[i].values, "resume elite slot " + std::to_string(i));
+    }
   }
 }
 

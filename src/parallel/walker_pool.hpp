@@ -246,6 +246,16 @@ struct MultiWalkReport {
 /// request.
 void validate_options(const WalkerPoolOptions& options);
 
+/// Validate the configurations `options` would install on clones of
+/// `prototype`, throwing std::invalid_argument naming the offending member:
+/// the warm start and, for a resume, every walker's configurations and
+/// every elite slot must be permutations of the prototype's value set, and
+/// the checkpoint must hold one entry per walker.  Called when a pool starts
+/// and by api::SolveRequest::validate, so a hostile configuration is
+/// refused at submission instead of reaching a kernel.
+void validate_configurations(const csp::Problem& prototype,
+                             const WalkerPoolOptions& options);
+
 /// The unified runtime: executes one walker population under the configured
 /// scheduling × communication × termination policies.
 class WalkerPool {

@@ -1,5 +1,8 @@
 #include "problems/costas.hpp"
 
+#include <array>
+#include <memory>
+#include <mutex>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -19,6 +22,80 @@ std::vector<int> canonical_values(std::size_t n) {
 }
 }  // namespace
 
+struct Costas::Tables {
+  std::vector<std::uint32_t> rowoff;
+  std::vector<std::int8_t> sign;
+  std::vector<std::int32_t> rowoff_pad;
+  std::vector<std::int32_t> sgmask;
+};
+
+std::shared_ptr<const Costas::Tables> Costas::tables_for(std::size_t n) {
+  const std::size_t stride = 2 * n + 1;
+  const std::size_t pstride = simd::padded_size(n, simd::i32x8::kLanes);
+  const auto build = [&] {
+    auto tables = std::make_shared<Tables>();
+    tables->rowoff.assign(n * n, 0);
+    tables->sign.assign(n * n, 0);
+    tables->rowoff_pad.assign(n * pstride, 0);
+    tables->sgmask.assign(n * pstride, 0);
+    for (std::size_t p = 0; p < n; ++p) {
+      for (std::size_t q = 0; q < n; ++q) {
+        if (p == q) continue;
+        const std::size_t d = p > q ? p - q : q - p;
+        tables->rowoff[p * n + q] =
+            static_cast<std::uint32_t>((d - 1) * stride + n);
+        tables->sign[p * n + q] = q > p ? 1 : -1;
+        tables->rowoff_pad[p * pstride + q] =
+            static_cast<std::int32_t>((d - 1) * stride + n);
+        tables->sgmask[p * pstride + q] = q > p ? 0 : -1;
+      }
+    }
+    return std::shared_ptr<const Tables>(std::move(tables));
+  };
+  // Orders up to kCachedOrders keep their tables for the process lifetime
+  // (a few tens of kB in all); larger ones are built per instance and
+  // shared only with its clones.
+  constexpr std::size_t kCachedOrders = 64;
+  if (n > kCachedOrders) return build();
+  static std::mutex m;
+  static std::array<std::shared_ptr<const Tables>, kCachedOrders + 1> cache;
+  const std::lock_guard<std::mutex> lock(m);
+  if (cache[n] == nullptr) cache[n] = build();
+  return cache[n];
+}
+
+std::size_t Costas::scratch_int32s() const noexcept {
+  return 6 * pstride_ + occ_size_ + 5 * n_;
+}
+
+std::size_t Costas::scratch_bytes() const noexcept {
+  return pstride_ * sizeof(Cost) + scratch_int32s() * sizeof(std::int32_t);
+}
+
+void Costas::carve_scratch() noexcept {
+  // Cost lanes first (8-byte aligned at the allocation's start), then the
+  // lane-padded 32-bit arrays, then the rest.
+  std::byte* p = scratch_.get();
+  const auto take32 = [&p](std::size_t count) {
+    auto* a = reinterpret_cast<std::int32_t*>(p);
+    p += count * sizeof(std::int32_t);
+    return a;
+  };
+  cand_ = reinterpret_cast<Cost*>(p);
+  p += pstride_ * sizeof(Cost);
+  vals_pad_ = take32(pstride_);
+  xslot_ = take32(pstride_);
+  srj_ = take32(pstride_);
+  sax_ = take32(pstride_);
+  saj_ = take32(pstride_);
+  acc32_ = take32(pstride_);
+  occ_ = take32(occ_size_);
+  // Unsigned views of int32 storage (same-width signed/unsigned access).
+  xrem_slots_ = reinterpret_cast<std::uint32_t*>(take32(n_));
+  undo_rem_ = reinterpret_cast<std::uint32_t*>(take32(2 * n_));
+  undo_add_ = reinterpret_cast<std::uint32_t*>(take32(2 * n_));
+}
+
 Costas::Costas(std::size_t n)
     : PermutationProblem(canonical_values(n)),
       n_(n),
@@ -28,36 +105,38 @@ Costas::Costas(std::size_t n)
       // scan parks the q == x / q == j lanes there to keep its bump/undo
       // loops branch-free (each dummy absorbs exactly one op per candidate
       // and is restored by the matching undo, so they stay at zero).
-      occ_((n - 1) * (2 * n + 1) + 8, 0),
-      rowoff_(n * n, 0),
-      sign_(n * n, 0),
-      rowoff_pad_(n * pstride_, 0),
-      sgmask_(n * pstride_, 0),
-      xrem_slots_(n, 0),
-      undo_rem_(2 * n, 0),
-      undo_add_(2 * n, 0),
-      vals_pad_(pstride_, 0),
-      xslot_(pstride_, 0),
-      srj_(pstride_, 0),
-      sax_(pstride_, 0),
-      saj_(pstride_, 0),
-      acc32_(pstride_, 0),
-      cand_(pstride_, 0) {
+      occ_size_((n - 1) * (2 * n + 1) + 8) {
   if (n < 2) {
     throw std::invalid_argument("Costas: n must be >= 2");
   }
-  for (std::size_t p = 0; p < n; ++p) {
-    for (std::size_t q = 0; q < n; ++q) {
-      if (p == q) continue;
-      const std::size_t d = p > q ? p - q : q - p;
-      rowoff_[p * n + q] =
-          static_cast<std::uint32_t>((d - 1) * stride_ + n);
-      sign_[p * n + q] = q > p ? 1 : -1;
-      rowoff_pad_[p * pstride_ + q] =
-          static_cast<std::int32_t>((d - 1) * stride_ + n);
-      sgmask_[p * pstride_ + q] = q > p ? 0 : -1;
-    }
-  }
+  tables_ = tables_for(n);
+  rowoff_ = tables_->rowoff.data();
+  sign_ = tables_->sign.data();
+  rowoff_pad_ = tables_->rowoff_pad.data();
+  sgmask_ = tables_->sgmask.data();
+  scratch_ = std::make_unique_for_overwrite<std::byte[]>(scratch_bytes());
+  carve_scratch();
+  // Start every array's lifetime, zeroed.
+  std::uninitialized_value_construct_n(cand_, pstride_);
+  std::uninitialized_value_construct_n(vals_pad_, scratch_int32s());
+}
+
+Costas::Costas(const Costas& other)
+    : PermutationProblem(other),
+      n_(other.n_),
+      stride_(other.stride_),
+      pstride_(other.pstride_),
+      name_(other.name_),
+      tables_(other.tables_),
+      rowoff_(other.rowoff_),
+      sign_(other.sign_),
+      rowoff_pad_(other.rowoff_pad_),
+      sgmask_(other.sgmask_),
+      occ_size_(other.occ_size_) {
+  scratch_ = std::make_unique_for_overwrite<std::byte[]>(scratch_bytes());
+  carve_scratch();
+  std::uninitialized_copy_n(other.cand_, pstride_, cand_);
+  std::uninitialized_copy_n(other.vals_pad_, scratch_int32s(), vals_pad_);
 }
 
 const std::string& Costas::name() const noexcept { return name_; }
@@ -73,7 +152,7 @@ std::unique_ptr<csp::Problem> Costas::clone() const {
 }
 
 Cost Costas::on_rebind() {
-  std::fill(occ_.begin(), occ_.end(), 0);
+  std::fill_n(occ_, occ_size_, 0);
   Cost cost = 0;
   for (std::size_t d = 1; d < n_; ++d) {
     for (std::size_t a = 0; a + d < n_; ++a) {
@@ -194,7 +273,7 @@ void Costas::cost_on_all_variables(std::span<Cost> out) const {
   if (!simd::runtime_enabled()) {
     std::fill(out.begin(), out.end(), Cost{0});
     for (std::size_t d = 1; d < n_; ++d) {
-      const int* occ_row = occ_.data() + (d - 1) * stride_ +
+      const int* occ_row = occ_ + (d - 1) * stride_ +
                            static_cast<std::ptrdiff_t>(n_);
       for (std::size_t a = 0; a + d < n_; ++a) {
         const int c = occ_row[vals[a + d] - vals[a]];
@@ -216,11 +295,11 @@ void Costas::cost_on_all_variables(std::span<Cost> out) const {
   // widened into the Cost lanes once at the end.
   constexpr std::size_t kL = simd::i32x8::kLanes;
   const std::size_t n = n_;
-  std::fill(acc32_.begin(), acc32_.end(), 0);
+  std::fill_n(acc32_, pstride_, 0);
   const auto one = simd::i32x8::broadcast(1);
   const auto two = simd::i32x8::broadcast(2);
   for (std::size_t d = 1; d < n; ++d) {
-    const int* occ_row = occ_.data() + (d - 1) * stride_ +
+    const int* occ_row = occ_ + (d - 1) * stride_ +
                          static_cast<std::ptrdiff_t>(n);
     const std::size_t m = n - d;
     std::size_t a = 0;
@@ -229,9 +308,9 @@ void Costas::cost_on_all_variables(std::span<Cost> out) const {
       const auto hi = simd::i32x8::load(vals.data() + a + d);
       const auto c = simd::i32x8::gather(occ_row, hi - lo);
       const auto s = (c - one) & simd::cmp_ge(c, two);
-      (simd::i32x8::load(acc32_.data() + a) + s).store(acc32_.data() + a);
-      (simd::i32x8::load(acc32_.data() + a + d) + s)
-          .store(acc32_.data() + a + d);
+      (simd::i32x8::load(acc32_ + a) + s).store(acc32_ + a);
+      (simd::i32x8::load(acc32_ + a + d) + s)
+          .store(acc32_ + a + d);
     }
     for (; a < m; ++a) {
       const int c = occ_row[vals[a + d] - vals[a]];
@@ -261,8 +340,8 @@ std::uint64_t Costas::best_swap_for(std::size_t x, util::Xoshiro256& rng,
   if (simd::runtime_enabled()) {
     return best_swap_for_simd(x, rng, best_j, best_cost, ties);
   }
-  const std::uint32_t* ro_x = rowoff_.data() + x * n;
-  const std::int8_t* sg_x = sign_.data() + x * n;
+  const std::uint32_t* ro_x = rowoff_ + x * n;
+  const std::int8_t* sg_x = sign_ + x * n;
 
   // The retraction slots of x's pairs are candidate-independent: cache them.
   for (std::size_t q = 0; q < n; ++q) {
@@ -271,15 +350,15 @@ std::uint64_t Costas::best_swap_for(std::size_t x, util::Xoshiro256& rng,
         static_cast<int>(ro_x[q]) + sg_x[q] * (vals[q] - vx));
   }
 
-  int* const occ = occ_.data();
-  std::uint32_t* const rem = undo_rem_.data();
-  std::uint32_t* const add = undo_add_.data();
+  int* const occ = occ_;
+  std::uint32_t* const rem = undo_rem_;
+  std::uint32_t* const add = undo_add_;
   csp::SwapScan scan(n);
   for (std::size_t j = 0; j < n; ++j) {
     if (j == x) continue;
     const int vj = vals[j];
-    const std::uint32_t* ro_j = rowoff_.data() + j * n;
-    const std::int8_t* sg_j = sign_.data() + j * n;
+    const std::uint32_t* ro_j = rowoff_ + j * n;
+    const std::int8_t* sg_j = sign_ + j * n;
     std::size_t count = 0;
     Cost delta = 0;
     for (std::size_t q = 0; q < n; ++q) {
@@ -346,17 +425,17 @@ std::uint64_t Costas::best_swap_for_simd(std::size_t x, util::Xoshiro256& rng,
   const auto vals = values();
   const Cost total = total_cost();
   const int vx = vals[x];
-  std::copy(vals.begin(), vals.end(), vals_pad_.begin());
-  const std::int32_t* ro_x = rowoff_pad_.data() + x * pn;
-  const std::int32_t* mk_x = sgmask_.data() + x * pn;
+  std::copy(vals.begin(), vals.end(), vals_pad_);
+  const std::int32_t* ro_x = rowoff_pad_ + x * pn;
+  const std::int32_t* mk_x = sgmask_ + x * pn;
   const auto vxb = simd::i32x8::broadcast(vx);
   for (std::size_t q = 0; q < pn; q += kL) {
-    const auto d = simd::i32x8::load(vals_pad_.data() + q) - vxb;
+    const auto d = simd::i32x8::load(vals_pad_ + q) - vxb;
     const auto m = simd::i32x8::load(mk_x + q);
     const auto s = simd::i32x8::load(ro_x + q) + ((d ^ m) - m);
-    s.store(xslot_.data() + q);
+    s.store(xslot_ + q);
   }
-  int* const occ = occ_.data();
+  int* const occ = occ_;
   // Dummy scratch slots past the triangle (see the constructor): parking the
   // q == x / q == j lanes there makes every serial bump/undo loop below
   // branch-free.  A dummy sees exactly one op per pass, so its count moves
@@ -375,20 +454,20 @@ std::uint64_t Costas::best_swap_for_simd(std::size_t x, util::Xoshiro256& rng,
       continue;
     }
     const int vj = vals[j];
-    const std::int32_t* ro_j = rowoff_pad_.data() + j * pn;
-    const std::int32_t* mk_j = sgmask_.data() + j * pn;
+    const std::int32_t* ro_j = rowoff_pad_ + j * pn;
+    const std::int32_t* mk_j = sgmask_ + j * pn;
     const auto vjb = simd::i32x8::broadcast(vj);
     for (std::size_t q = 0; q < pn; q += kL) {
-      const auto v = simd::i32x8::load(vals_pad_.data() + q);
+      const auto v = simd::i32x8::load(vals_pad_ + q);
       const auto mj = simd::i32x8::load(mk_j + q);
       const auto roj = simd::i32x8::load(ro_j + q);
       const auto mx = simd::i32x8::load(mk_x + q);
       const auto rox = simd::i32x8::load(ro_x + q);
       const auto dj = v - vjb;  // retractions of j's pairs + x's asserts
-      (roj + ((dj ^ mj) - mj)).store(srj_.data() + q);
-      (rox + ((dj ^ mx) - mx)).store(sax_.data() + q);
+      (roj + ((dj ^ mj) - mj)).store(srj_ + q);
+      (rox + ((dj ^ mx) - mx)).store(sax_ + q);
       const auto dx = v - vxb;  // j's asserts (j holds vx after exchange)
-      (roj + ((dx ^ mj) - mj)).store(saj_.data() + q);
+      (roj + ((dx ^ mj) - mj)).store(saj_ + q);
     }
     srj_[x] = D + 1;
     sax_[x] = D + 2;
@@ -418,7 +497,7 @@ std::uint64_t Costas::best_swap_for_simd(std::size_t x, util::Xoshiro256& rng,
     ++occ[xslot_[q]];
   }
   csp::SwapScan scan(n);
-  scan.feed_lanes(0, std::span<const Cost>(cand_.data(), n), x, rng);
+  scan.feed_lanes(0, std::span<const Cost>(cand_, n), x, rng);
   best_j = scan.best_j;
   best_cost = scan.best_cost;
   ties = scan.ties;

@@ -10,8 +10,10 @@
 // the O(n) pairs involving the two positions, so cost_if_swap is O(n).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "csp/problem.hpp"
 
@@ -22,6 +24,8 @@ class Costas final : public csp::PermutationProblem {
   /// Order n (n >= 2).  Costas arrays exist for every n <= 31; the paper's
   /// experiments run n = 18..22.
   explicit Costas(std::size_t n);
+  Costas(const Costas& other);
+  Costas& operator=(const Costas&) = delete;
 
   [[nodiscard]] const std::string& name() const noexcept override;
   [[nodiscard]] std::string instance_description() const override;
@@ -66,40 +70,57 @@ class Costas final : public csp::PermutationProblem {
                                    std::size_t& best_j, csp::Cost& best_cost,
                                    std::size_t& ties) const;
 
+  /// Value-independent slot tables, built once per order and shared
+  /// read-only by every instance of that order and all their clones.
+  struct Tables;
+  static std::shared_ptr<const Tables> tables_for(std::size_t n);
+
+  /// Layout of scratch_: pstride_ Cost lanes, then scratch_int32s() 32-bit
+  /// slots.  carve_scratch points the arrays below into it.
+  [[nodiscard]] std::size_t scratch_int32s() const noexcept;
+  [[nodiscard]] std::size_t scratch_bytes() const noexcept;
+  void carve_scratch() noexcept;
+
   std::size_t n_;
   std::size_t stride_;
   /// Lane-padded row stride for the SIMD tables (multiple of i32x8 lanes).
   std::size_t pstride_;
   std::string name_ = "costas";
-  /// Occurrence tables, mutable for probe/rollback in cost_if_swap.
-  mutable std::vector<int> occ_;
-  /// best_swap_for acceleration tables (value-independent, built once):
+  std::shared_ptr<const Tables> tables_;
+  /// best_swap_for acceleration tables (views into *tables_):
   /// for the pair {p, q}, slot = rowoff_[p*n+q] + sign_[p*n+q] * (V[q]-V[p])
   /// — the (d-1)*stride + n row offset with the diff's orientation folded
   /// into a sign, so the candidate loop computes slots branch-free.
-  std::vector<std::uint32_t> rowoff_;
-  std::vector<std::int8_t> sign_;
+  const std::uint32_t* rowoff_ = nullptr;
+  const std::int8_t* sign_ = nullptr;
   /// SIMD mirrors of the tables above, lane-padded (stride pstride_) with
   /// the sign replaced by a negate mask (0 / -1): slot = ro + ((diff^m)-m),
   /// multiply-free and one vector op per eight pairs.  Padding lanes hold
   /// zeros; their computed slots are stored to scratch but never consumed.
-  std::vector<std::int32_t> rowoff_pad_;
-  std::vector<std::int32_t> sgmask_;
+  const std::int32_t* rowoff_pad_ = nullptr;
+  const std::int32_t* sgmask_ = nullptr;
+  /// Every mutable array below lives in this one allocation, which a clone
+  /// copies wholesale.
+  std::unique_ptr<std::byte[]> scratch_;
+  /// Occurrence tables (occ_size_ slots), written by probe/rollback in
+  /// cost_if_swap.
+  int* occ_ = nullptr;
+  std::size_t occ_size_ = 0;
   /// Per-call scratch (alloc-free steady state): cached slots of the pairs
   /// through the selected variable, and the probe undo lists.
-  mutable std::vector<std::uint32_t> xrem_slots_;
-  mutable std::vector<std::uint32_t> undo_rem_;
-  mutable std::vector<std::uint32_t> undo_add_;
+  std::uint32_t* xrem_slots_ = nullptr;
+  std::uint32_t* undo_rem_ = nullptr;
+  std::uint32_t* undo_add_ = nullptr;
   /// SIMD-path scratch, all lane-padded: padded copy of values(), the three
   /// per-candidate slot arrays, the per-variable surplus accumulator and the
   /// candidate cost vector consumed by SwapScan::feed_lanes.
-  mutable std::vector<std::int32_t> vals_pad_;
-  mutable std::vector<std::int32_t> xslot_;
-  mutable std::vector<std::int32_t> srj_;
-  mutable std::vector<std::int32_t> sax_;
-  mutable std::vector<std::int32_t> saj_;
-  mutable std::vector<std::int32_t> acc32_;
-  mutable std::vector<csp::Cost> cand_;
+  std::int32_t* vals_pad_ = nullptr;
+  std::int32_t* xslot_ = nullptr;
+  std::int32_t* srj_ = nullptr;
+  std::int32_t* sax_ = nullptr;
+  std::int32_t* saj_ = nullptr;
+  std::int32_t* acc32_ = nullptr;
+  csp::Cost* cand_ = nullptr;
 };
 
 }  // namespace cspls::problems

@@ -8,8 +8,10 @@
 #include <cctype>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <utility>
 
 #include "serve/protocol.hpp"
@@ -199,7 +201,7 @@ void HttpServer::stop() {
   const int fd = listen_fd_.exchange(-1);
   if (fd >= 0) ::shutdown(fd, SHUT_RDWR), ::close(fd);
   if (acceptor_.joinable()) acceptor_.join();
-  std::vector<std::thread> connections;
+  std::list<Connection> connections;
   {
     std::lock_guard lock(conn_m_);
     connections.swap(connections_);
@@ -208,9 +210,23 @@ void HttpServer::stop() {
     // fds leave this set before closing, so no reused descriptor is hit.
     for (const int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
   }
-  for (std::thread& connection : connections) {
-    if (connection.joinable()) connection.join();
+  for (Connection& connection : connections) {
+    if (connection.thread.joinable()) connection.thread.join();
   }
+}
+
+void HttpServer::reap_finished() {
+  std::list<Connection> finished;
+  {
+    std::lock_guard lock(conn_m_);
+    for (auto it = connections_.begin(); it != connections_.end();) {
+      const auto next = std::next(it);
+      if (it->done.load()) finished.splice(finished.end(), connections_, it);
+      it = next;
+    }
+  }
+  // A finished handler has nothing left to run but its return.
+  for (Connection& connection : finished) connection.thread.join();
 }
 
 void HttpServer::accept_loop() {
@@ -222,13 +238,25 @@ void HttpServer::accept_loop() {
       if (stopping_.load()) return;
       continue;
     }
+    reap_finished();
     std::lock_guard lock(conn_m_);
     if (stopping_.load()) {
       ::close(fd);
       return;
     }
     live_fds_.insert(fd);
-    connections_.emplace_back([this, fd] { handle_connection(fd); });
+    Connection& connection = connections_.emplace_back();
+    try {
+      connection.thread = std::thread([this, fd, &connection] {
+        handle_connection(fd);
+        connection.done.store(true);
+      });
+    } catch (const std::system_error&) {
+      // No thread to serve it: drop the connection, keep accepting.
+      connections_.pop_back();
+      live_fds_.erase(fd);
+      ::close(fd);
+    }
   }
 }
 

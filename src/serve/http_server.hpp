@@ -26,13 +26,18 @@
 // A client that disconnects mid-stream cancels its jobs: the write
 // failure flips the connection's broken flag and the handler cancels
 // before draining, so walkers never grind for a departed curl.
+//
+// Each connection runs on its own thread.  The accept loop joins the
+// threads of finished connections before taking the next one, so a
+// long-lived server holds threads (and their stacks) only for the
+// connections still open.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <thread>
 #include <unordered_set>
-#include <vector>
 
 #include "serve/session.hpp"
 
@@ -65,8 +70,16 @@ class HttpServer {
   void stop();
 
  private:
+  /// One connection's handler thread; `done` is its last write.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   void accept_loop();
   void handle_connection(int fd);
+  /// Join and drop the connections whose handlers have returned.
+  void reap_finished();
 
   Scheduler& scheduler_;
   Options options_;
@@ -75,7 +88,7 @@ class HttpServer {
   std::atomic<bool> stopping_{false};
   std::thread acceptor_;
   std::mutex conn_m_;
-  std::vector<std::thread> connections_;
+  std::list<Connection> connections_;  ///< stable nodes: handlers hold one
   std::unordered_set<int> live_fds_;  ///< open sockets, for stop() to break
                                       ///< idle keep-alive reads
 };

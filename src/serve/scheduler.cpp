@@ -6,7 +6,6 @@
 
 #include "api/solver.hpp"
 #include "core/stop_token.hpp"
-#include "problems/spec.hpp"
 #include "util/fault.hpp"
 
 namespace cspls::serve {
@@ -24,6 +23,12 @@ struct ServeJob {
   bool warm_path = false;
 
   std::atomic<bool> cancel{false};
+
+  /// The service handle's latest status and whether it ever ran, written
+  /// by its JobStream::on_transition before the dispatcher is woken; the
+  /// reap and preemption passes read these instead of probing the handle.
+  std::atomic<api::JobStatus> service_status{api::JobStatus::kQueued};
+  std::atomic<bool> service_ran{false};
 
   // Guarded by Scheduler::m_.
   api::JobHandle handle;         ///< service path, once submitted
@@ -143,8 +148,7 @@ Scheduler::~Scheduler() { shutdown(); }
 std::uint64_t Scheduler::submit(SolveCommand command, JobEvents events) {
   // Same submission-site validation as the service: the caller gets the
   // diagnostic now, not a failed job later.
-  (void)problems::parse_spec(command.request.problem);
-  parallel::validate_options(command.request.to_pool_options());
+  command.request.validate();
 
   auto job = std::make_shared<detail::ServeJob>();
   job->command = std::move(command);
@@ -201,7 +205,11 @@ std::uint64_t Scheduler::submit(SolveCommand command, JobEvents events) {
     job->emit_report(kCancelled, cancelled_report(*job), {});
     return job->id;
   }
-  if (job->warm_path) warm_cv_.notify_one();
+  if (job->warm_path) {
+    warm_cv_.notify_one();
+  } else {
+    wake_dispatcher();
+  }
   return job->id;
 }
 
@@ -235,6 +243,7 @@ Scheduler::CancelResult Scheduler::cancel(std::uint64_t id) {
     }
     result = CancelResult::kCancelled;
   }
+  wake_dispatcher();
   if (dequeued) dequeued->emit_report(kCancelled, cancelled_report(*dequeued), {});
   return result;
 }
@@ -594,32 +603,47 @@ void Scheduler::warm_loop() {
   }
 }
 
+void Scheduler::wake_dispatcher() {
+  {
+    std::lock_guard lock(wake_m_);
+    wake_pending_ = true;
+  }
+  wake_cv_.notify_one();
+}
+
 void Scheduler::dispatch_loop() {
   for (;;) {
+    {
+      // Consume the wake before the pass: anything that changes while the
+      // pass runs sets the flag again and buys the next pass.
+      std::unique_lock lock(wake_m_);
+      wake_cv_.wait(lock, [this] { return wake_pending_; });
+      wake_pending_ = false;
+    }
     std::vector<Finalization> done;
     std::vector<JobPtr> suspended;  ///< running-preempted: notify off-lock
     bool exit_after = false;
     {
       std::unique_lock lock(m_);
 
-      // Reap: probe every in-flight handle without blocking.
+      // Reap: act on the status each in-flight job's last transition left.
       std::vector<JobPtr> requeue;  ///< preempted, in original FIFO order
       for (auto it = inflight_.begin(); it != inflight_.end();) {
         const JobPtr& job = *it;
-        // Record a start only on an observed kRunning: a preempted job's
-        // handle jumps kQueued -> kCancelled without ever executing.
-        const api::JobStatus status = job->handle.status();
-        if (!job->started_recorded && status == api::JobStatus::kRunning) {
+        // Record a start only for a job that ran: a preempted job's handle
+        // jumps kQueued -> kCancelled without ever executing, while a quick
+        // one may go kRunning -> kDone between two passes.
+        if (!job->started_recorded && job->service_ran.load()) {
           job->started_recorded = true;
           started_order_.push_back(job->id);
         }
-        if (!job->handle.wait_for(std::chrono::milliseconds(0))) {
+        const api::JobStatus status = job->service_status.load();
+        if (!api::is_terminal(status)) {
           ++it;
           continue;
         }
-        const api::JobStatus terminal = job->handle.status();
         if (job->preempt_pending &&
-            terminal == api::JobStatus::kCancelled &&
+            status == api::JobStatus::kCancelled &&
             !job->cancel.load(std::memory_order_relaxed) && !stopping_) {
           // Preempted while still queued in the service (or a suspended
           // run whose capture failed and degraded to a cancel): back to
@@ -630,7 +654,7 @@ void Scheduler::dispatch_loop() {
           job->handle = api::JobHandle{};
           requeue.push_back(job);
           ++preempted_queued_;
-        } else if (terminal == api::JobStatus::kPreempted &&
+        } else if (status == api::JobStatus::kPreempted &&
                    !job->cancel.load(std::memory_order_relaxed) &&
                    !stopping_) {
           // Suspended mid-run: carry the checkpoint back to the front of
@@ -642,37 +666,32 @@ void Scheduler::dispatch_loop() {
           requeue.push_back(job);
           ++preempted_running_;
           suspended.push_back(job);
-        } else if (terminal == api::JobStatus::kPreempted) {
-          // Suspended, but the client cancelled (or the scheduler is
-          // stopping) before the requeue: the checkpoint is moot — the
-          // job resolves as a plain cancel.
-          done.push_back(Finalization{job, std::string(kCancelled),
-                                      cancelled_report(*job),
-                                      std::string{}});
-          jobs_.erase(job->id);
-          ++cancelled_;
-          it = inflight_.erase(it);
-          continue;
         } else {
-          // A job that reached done/failed necessarily ran, even if it was
-          // too quick for a kRunning probe to catch it in flight.
-          if (!job->started_recorded &&
-              terminal != api::JobStatus::kCancelled) {
-            job->started_recorded = true;
-            started_order_.push_back(job->id);
-          }
-          const std::string_view status_name = status_of(terminal);
-          done.push_back(Finalization{job, std::string(status_name),
-                                      job->handle.report(),
-                                      job->handle.error()});
-          jobs_.erase(job->id);
-          if (terminal == api::JobStatus::kDone) {
-            ++completed_;
-          } else if (terminal == api::JobStatus::kCancelled) {
+          if (status == api::JobStatus::kPreempted) {
+            // Suspended, but the client cancelled (or the scheduler is
+            // stopping) before the requeue: the checkpoint is moot — the
+            // job resolves as a plain cancel.
+            done.push_back(Finalization{job, std::string(kCancelled),
+                                        cancelled_report(*job),
+                                        std::string{}});
             ++cancelled_;
           } else {
-            ++failed_;
+            done.push_back(Finalization{job, std::string(status_of(status)),
+                                        job->handle.report(),
+                                        job->handle.error()});
+            if (status == api::JobStatus::kDone) {
+              ++completed_;
+            } else if (status == api::JobStatus::kCancelled) {
+              ++cancelled_;
+            } else {
+              ++failed_;
+            }
           }
+          jobs_.erase(job->id);
+          // Dropping the handle also drops the service job's stream, whose
+          // sample sink holds this job: no reference cycle outlives it.
+          job->in_service = false;
+          job->handle = api::JobHandle{};
         }
         it = inflight_.erase(it);
       }
@@ -696,7 +715,7 @@ void Scheduler::dispatch_loop() {
           bool queued_victim = false;
           for (const JobPtr& job : inflight_) {
             if (!job->preempt_pending && lane_of(*job) > strongest_waiting &&
-                job->handle.status() == api::JobStatus::kQueued) {
+                job->service_status.load() == api::JobStatus::kQueued) {
               if (job->handle.cancel()) {
                 job->preempt_pending = true;
                 queued_victim = true;
@@ -714,7 +733,7 @@ void Scheduler::dispatch_loop() {
             for (const JobPtr& job : inflight_) {
               if (job->preempt_pending) continue;
               if (lane_of(*job) <= strongest_waiting) continue;
-              const api::JobStatus status = job->handle.status();
+              const api::JobStatus status = job->service_status.load();
               if (status != api::JobStatus::kRunning &&
                   status != api::JobStatus::kDegraded) {
                 continue;
@@ -748,6 +767,19 @@ void Scheduler::dispatch_loop() {
             continue;
           }
           api::JobStream stream;
+          // A leaf-lock-only callback: two atomic stores and the wake flag.
+          // The weak reference keeps the service job from owning this one.
+          stream.on_transition = [this, weak = std::weak_ptr<detail::ServeJob>(
+                                            job)](api::JobStatus status) {
+            if (const JobPtr live = weak.lock()) {
+              if (status == api::JobStatus::kRunning ||
+                  status == api::JobStatus::kDegraded) {
+                live->service_ran.store(true);
+              }
+              live->service_status.store(status);
+            }
+            wake_dispatcher();
+          };
           if (job->command.stream && job->command.sample_period != 0) {
             const JobPtr sink = job;
             stream.on_sample = [sink](std::size_t walker,
@@ -757,6 +789,9 @@ void Scheduler::dispatch_loop() {
             };
             stream.sample_period = job->command.sample_period;
           }
+          // Before submit: the job's first transition can fire before submit
+          // returns.
+          job->service_status.store(api::JobStatus::kQueued);
           try {
             job->handle = service_.submit(job->command.request,
                                           std::move(stream));
@@ -793,7 +828,6 @@ void Scheduler::dispatch_loop() {
     for (const JobPtr& job : suspended) job->emit_preempted();
     for (const Finalization& f : done) finalize(f);
     if (exit_after) return;
-    std::this_thread::sleep_for(options_.poll_period);
   }
 }
 
@@ -823,6 +857,7 @@ void Scheduler::shutdown() {
     }
   }
   warm_cv_.notify_all();
+  wake_dispatcher();
   for (const Finalization& f : done) finalize(f);
   for (std::thread& thread : warm_threads_) {
     if (thread.joinable()) thread.join();

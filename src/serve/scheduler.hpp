@@ -33,6 +33,17 @@
 // having been interrupted.  A capture failure degrades to plain
 // cancel-and-requeue (the job restarts from scratch, losing only work).
 //
+// The service path's dispatcher is event-driven: it sleeps until woken and
+// then makes one pass (reap, preempt, submit).  submit() to a service lane,
+// cancel(), shutdown() and every status transition of an in-flight service
+// job (JobStream::on_transition: running, retrying, degraded, terminal)
+// wake it.  A wake sets a pending flag under its own leaf mutex, so one
+// that lands mid-pass buys another pass instead of being lost; the
+// transition callback can fire with the service's lock held, which is why
+// it touches nothing but that flag and two atomics on the job (its latest
+// status, and whether it ever ran) — never the scheduler lock.  The pass
+// acts on those atomics; it never probes a handle.
+//
 // Admission control: `max_lane_depth` bounds each priority lane; a submit
 // to a full lane is rejected with the stable `overloaded` protocol error
 // (HTTP 429) before `accepted` fires, so clients see backpressure instead
@@ -47,7 +58,6 @@
 #pragma once
 
 #include <array>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -104,8 +114,6 @@ struct SchedulerOptions {
   bool preempt_running = true;
   /// Sample period for streaming jobs that did not pick one.
   std::uint64_t default_sample_period = 256;
-  /// Dispatcher poll period for reaping / preempting / submitting.
-  std::chrono::milliseconds poll_period{2};
   /// The service path's knobs (thread budget, per-job cap).
   api::SolverService::Options service;
 };
@@ -195,8 +203,9 @@ class Scheduler {
   void shutdown();
 
   /// Job ids in the order their solve actually started (warm: the worker
-  /// picked it up; service: first observed out of the service's queue) —
-  /// the observable priority/preemption order, for tests.
+  /// picked it up; service: the first dispatcher pass after the service
+  /// reported it running) — the observable priority/preemption order, for
+  /// tests.
   [[nodiscard]] std::vector<std::uint64_t> started_order() const;
 
  private:
@@ -216,6 +225,15 @@ class Scheduler {
   void finalize(const Finalization& f);
 
   SchedulerOptions options_;
+
+  /// Dispatcher wake-up: `wake_pending_` under the leaf lock `wake_m_`.
+  /// Declared before service_ so it outlives every transition callback the
+  /// service can still fire while it shuts down.
+  void wake_dispatcher();
+  std::mutex wake_m_;
+  std::condition_variable wake_cv_;
+  bool wake_pending_ = false;
+
   api::SolverService service_;
 
   mutable std::mutex m_;

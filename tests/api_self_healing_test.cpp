@@ -11,9 +11,12 @@
 #include <chrono>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "parallel/checkpoint.hpp"
 #include "util/fault.hpp"
+#include "util/timer.hpp"
 
 namespace cspls::api {
 namespace {
@@ -155,6 +158,40 @@ TEST(SelfHealing, WatchdogDegradesAStalledJobInsteadOfHanging) {
 }
 
 // --- Every-build coverage ---------------------------------------------
+
+TEST(SelfHealing, CancelEndsAMultiSecondBackoffAtOnce) {
+  // A resume checkpoint whose elite shape disagrees with the communication
+  // policy passes submission but is refused when the pool starts, so every
+  // attempt throws and the job backs off ten seconds before retrying.
+  // Runs in every build: no fault injection needed.
+  SolverService service(SolverService::Options{1, 0});
+  SolveRequest request;
+  request.problem = "costas:8";
+  request.walkers = 1;
+  request.seed = 3;
+  request.scheduling = parallel::Scheduling::kSequential;
+  parallel::PoolCheckpoint checkpoint;
+  checkpoint.walkers.resize(1);  // one walker, never started
+  checkpoint.elite.resize(1);    // isolated walkers allocate no slot
+  request.resume_from = checkpoint;
+  request.retry.max_attempts = 2;
+  request.retry.base_backoff_ms = 10'000;
+
+  const JobHandle job = service.submit(request);
+  util::Stopwatch watch;
+  while (job.status() != JobStatus::kRetrying && watch.elapsed_seconds() < 30.0) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  ASSERT_EQ(job.status(), JobStatus::kRetrying);
+
+  const auto cancelled_at = std::chrono::steady_clock::now();
+  EXPECT_TRUE(job.cancel());
+  ASSERT_TRUE(job.wait_for(milliseconds(10'000)));
+  EXPECT_LT(std::chrono::steady_clock::now() - cancelled_at, milliseconds(50));
+  EXPECT_EQ(job.status(), JobStatus::kCancelled);
+  EXPECT_TRUE(job.report().cancelled);
+  EXPECT_EQ(job.report().attempts, 1u);
+}
 
 TEST(SelfHealing, WarmStartSeedsTheFirstWalk) {
   SolveRequest request = quick_request(41);

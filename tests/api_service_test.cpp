@@ -1,11 +1,13 @@
 // api::SolverService: concurrent jobs under a bounded thread budget, FIFO
-// admission, cancellation of queued and running jobs, failure surfacing
-// and shutdown semantics.
+// admission, cancellation of queued and running jobs, failure surfacing,
+// shutdown semantics and the per-job status-transition callback.
 #include "api/service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -593,6 +595,177 @@ TEST(SolverService, SuspendAndResumeReproducesTheUninterruptedReport) {
   EXPECT_EQ(resumed.cost, direct.cost);
   EXPECT_EQ(resumed.solution, direct.solution);
   EXPECT_EQ(resumed.total_iterations, direct.total_iterations);
+}
+
+/// Logs a job's on_transition calls as (status passed, status the job's
+/// handle showed inside the callback).  The callback's lock is a leaf, as
+/// the JobStream contract requires: nothing is called under it but the
+/// handle's own status().
+class TransitionLog {
+ public:
+  /// Submit behind `blocker`, which must hold the whole thread budget: the
+  /// job stays queued, so no transition fires before its handle is logged.
+  JobHandle submit_behind(const JobHandle& blocker, SolverService& service,
+                          SolveRequest request) {
+    EXPECT_TRUE(eventually_running(blocker));
+    JobStream stream;
+    stream.on_transition = [this](JobStatus status) {
+      std::lock_guard lock(m_);
+      std::optional<JobStatus> visible;
+      if (handle_.valid()) visible = handle_.status();
+      calls_.emplace_back(status, visible);
+      cv_.notify_all();
+    };
+    const JobHandle handle = service.submit(std::move(request), std::move(stream));
+    std::lock_guard lock(m_);
+    handle_ = handle;
+    return handle;
+  }
+
+  /// Block until a call with `status` arrived.
+  [[nodiscard]] bool wait_for_call(JobStatus status) {
+    std::unique_lock lock(m_);
+    return cv_.wait_for(lock, milliseconds(30'000), [&] {
+      return std::any_of(calls_.begin(), calls_.end(),
+                         [&](const auto& call) { return call.first == status; });
+    });
+  }
+
+  /// The statuses passed, in order; each must already have been visible
+  /// through the handle, and exactly one terminal status must come last.
+  [[nodiscard]] std::vector<JobStatus> checked_statuses() {
+    std::lock_guard lock(m_);
+    std::vector<JobStatus> statuses;
+    for (const auto& [passed, visible] : calls_) {
+      EXPECT_EQ(visible, std::optional<JobStatus>(passed)) << name_of(passed);
+      statuses.push_back(passed);
+    }
+    EXPECT_EQ(std::count_if(statuses.begin(), statuses.end(), is_terminal), 1);
+    EXPECT_TRUE(!statuses.empty() && is_terminal(statuses.back()));
+    return statuses;
+  }
+
+ private:
+  static bool eventually_running(const JobHandle& job) {
+    util::Stopwatch watch;
+    while (job.status() == JobStatus::kQueued && watch.elapsed_seconds() < 30.0) {
+      std::this_thread::sleep_for(milliseconds(1));
+    }
+    return job.status() == JobStatus::kRunning;
+  }
+
+  std::mutex m_;
+  std::condition_variable cv_;
+  JobHandle handle_;
+  std::vector<std::pair<JobStatus, std::optional<JobStatus>>> calls_;
+};
+
+using Statuses = std::vector<JobStatus>;
+
+// Every case runs with a budget of one held by an endless blocker, so the
+// logged job starts only when the test releases the blocker.
+
+TEST(SolverServiceTransitions, ANormalRunReportsRunningThenDone) {
+  TransitionLog log;  // declared first: outlives every callback
+  SolverService service(SolverService::Options{1, 0});
+  const JobHandle blocker = service.submit(endless_request(1));
+  const JobHandle job = log.submit_behind(blocker, service, quick_request(3));
+  EXPECT_TRUE(blocker.cancel());
+  EXPECT_TRUE(job.wait().solved);
+  service.shutdown();
+  EXPECT_EQ(log.checked_statuses(),
+            (Statuses{JobStatus::kRunning, JobStatus::kDone}));
+}
+
+TEST(SolverServiceTransitions, AQueuedCancelReportsOnlyCancelled) {
+  TransitionLog log;
+  SolverService service(SolverService::Options{1, 0});
+  const JobHandle blocker = service.submit(endless_request(1));
+  const JobHandle job = log.submit_behind(blocker, service, endless_request(2));
+  EXPECT_TRUE(job.cancel());
+  ASSERT_TRUE(job.wait_for(milliseconds(30'000)));
+  EXPECT_TRUE(blocker.cancel());
+  service.shutdown();
+  EXPECT_EQ(log.checked_statuses(), (Statuses{JobStatus::kCancelled}));
+}
+
+TEST(SolverServiceTransitions, AQueuedSuspendReportsOnlyPreempted) {
+  TransitionLog log;
+  SolverService service(SolverService::Options{1, 0});
+  const JobHandle blocker = service.submit(endless_request(1));
+  const JobHandle job = log.submit_behind(blocker, service, endless_request(2));
+  EXPECT_TRUE(job.suspend());
+  ASSERT_TRUE(job.wait_for(milliseconds(30'000)));
+  EXPECT_TRUE(blocker.cancel());
+  service.shutdown();
+  EXPECT_EQ(log.checked_statuses(), (Statuses{JobStatus::kPreempted}));
+}
+
+TEST(SolverServiceTransitions, ARunningSuspendReportsRunningThenPreempted) {
+  TransitionLog log;
+  SolverService service(SolverService::Options{1, 0});
+  const JobHandle blocker = service.submit(endless_request(1));
+  const JobHandle job = log.submit_behind(blocker, service, endless_request(3));
+  EXPECT_TRUE(blocker.cancel());
+  ASSERT_TRUE(log.wait_for_call(JobStatus::kRunning));
+  EXPECT_TRUE(job.suspend());
+  ASSERT_TRUE(job.wait_for(milliseconds(30'000)));
+  service.shutdown();
+  EXPECT_EQ(log.checked_statuses(),
+            (Statuses{JobStatus::kRunning, JobStatus::kPreempted}));
+}
+
+TEST(SolverServiceTransitions, ShutdownReportsCancelledLastForEveryJob) {
+  TransitionLog running_log;
+  TransitionLog queued_log;
+  SolverService service(SolverService::Options{1, 0});
+  const JobHandle blocker = service.submit(endless_request(1));
+  const JobHandle running =
+      running_log.submit_behind(blocker, service, endless_request(4));
+  const JobHandle queued =
+      queued_log.submit_behind(blocker, service, endless_request(5));
+  EXPECT_TRUE(blocker.cancel());
+  ASSERT_TRUE(running_log.wait_for_call(JobStatus::kRunning));
+  service.shutdown();
+  EXPECT_EQ(running.status(), JobStatus::kCancelled);
+  EXPECT_EQ(queued.status(), JobStatus::kCancelled);
+  EXPECT_EQ(running_log.checked_statuses(),
+            (Statuses{JobStatus::kRunning, JobStatus::kCancelled}));
+  EXPECT_EQ(queued_log.checked_statuses(), (Statuses{JobStatus::kCancelled}));
+}
+
+TEST(SolverServiceTransitions, TheTerminalCallbackFiresAfterWaitersAreWoken) {
+  // The callback holds itself until a thread blocked in wait() has
+  // returned.  That only happens if the terminal status woke the waiter
+  // before the callback ran; otherwise the callback times out.  (Blocking
+  // in the callback breaks its contract; here it is bounded and harmless.)
+  std::mutex m;
+  std::condition_variable cv;
+  bool waiter_returned = false;
+  std::optional<bool> waiter_seen_in_callback;
+  SolverService service(SolverService::Options{1, 0});
+  const JobHandle blocker = service.submit(endless_request(1));
+  JobStream stream;
+  stream.on_transition = [&](JobStatus status) {
+    if (!is_terminal(status)) return;
+    std::unique_lock lock(m);
+    waiter_seen_in_callback = cv.wait_for(lock, milliseconds(10'000),
+                                          [&] { return waiter_returned; });
+  };
+  const JobHandle job = service.submit(endless_request(2), std::move(stream));
+  std::thread waiter([&] {
+    (void)job.wait();  // a cancelled job returns normally
+    std::lock_guard lock(m);
+    waiter_returned = true;
+    cv.notify_all();
+  });
+  std::this_thread::sleep_for(milliseconds(20));  // let the waiter block
+  EXPECT_TRUE(job.cancel());
+  waiter.join();
+  EXPECT_TRUE(blocker.cancel());
+  service.shutdown();
+  std::lock_guard lock(m);
+  EXPECT_EQ(waiter_seen_in_callback, std::optional<bool>(true));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <optional>
 #include <stdexcept>
+#include <vector>
 
 #include "core/params.hpp"
 #include "parallel/walker_pool.hpp"
@@ -214,6 +215,50 @@ TEST(PoolCheckpoint, ResumeValidatesWalkerCountAndEliteShape) {
   wrong_elite.resume = checkpoint;  // captured with communication off
   EXPECT_THROW((void)WalkerPool(wrong_elite).run(langford),
                std::invalid_argument);
+}
+
+TEST(PoolCheckpoint, ResumeRejectsConfigurationsOutsideTheValueSet) {
+  // A checkpoint arrives over the wire: a value outside the model's set
+  // would index the kernel's tables out of bounds, and a repeated value
+  // leaves a state no swap can repair.  Both are refused before any walker
+  // runs, wherever they sit in the checkpoint.
+  const problems::Langford langford(5);
+  WalkerPoolOptions options = base_options(Scheduling::kSequential, 3, 42);
+  options.communication = CommunicationPolicy(Topology::kSharedElite);
+  const std::optional<PoolCheckpoint> checkpoint =
+      preempt_run(langford, options, 128);
+  ASSERT_TRUE(checkpoint.has_value());
+  ASSERT_EQ(checkpoint->walkers[0].stage, PoolCheckpoint::WalkerStage::kRunning);
+  ASSERT_FALSE(checkpoint->elite.empty());
+
+  const auto corrupt = [](std::vector<int>& values, bool out_of_range) {
+    if (out_of_range) {
+      values[0] = 100'000'000;
+    } else {
+      values[0] = values[1];
+    }
+  };
+  for (const bool out_of_range : {true, false}) {
+    std::vector<PoolCheckpoint> hostile(3, *checkpoint);
+    corrupt(hostile[0].walkers[0].checkpoint.values, out_of_range);
+    corrupt(hostile[1].walkers[0].checkpoint.best, out_of_range);
+    PoolCheckpoint::EliteSlot& slot = hostile[2].elite[0];
+    slot.has_entry = true;
+    slot.values = checkpoint->walkers[0].checkpoint.values;
+    corrupt(slot.values, out_of_range);
+    for (const PoolCheckpoint& bad : hostile) {
+      WalkerPoolOptions resume = options;
+      resume.resume = bad;
+      EXPECT_THROW(validate_configurations(langford, resume),
+                   std::invalid_argument);
+      EXPECT_THROW((void)WalkerPool(resume).run(langford),
+                   std::invalid_argument);
+    }
+  }
+
+  WalkerPoolOptions intact = options;
+  intact.resume = checkpoint;
+  EXPECT_NO_THROW(validate_configurations(langford, intact));
 }
 
 TEST(PoolCheckpoint, CancellationOutranksPreemptionAndCapturesNothing) {

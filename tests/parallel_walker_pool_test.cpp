@@ -413,7 +413,10 @@ TEST(WalkerPool, MigrationOnTorusSolvesThreaded) {
   pool.termination = Termination::kFirstFinisher;
   pool.communication.neighborhood = Neighborhood::kTorus;
   pool.communication.exchange = Exchange::kMigration;
-  pool.communication.period = 50;
+  // Publish every iteration: walker 2 solves this seed at iteration 11, so
+  // with a longer period the race could end before anyone published,
+  // depending only on how the threads happened to start.
+  pool.communication.period = 1;
   pool.communication.adopt_probability = 0.5;
   const auto report = WalkerPool(pool).run(costas);
   ASSERT_TRUE(report.solved);

@@ -137,6 +137,36 @@ TEST(Costas, CloneCarriesFullState) {
   }
 }
 
+TEST(Costas, ClonesShareTablesButNotOccurrenceState) {
+  // Clones share the order's slot tables; each owns its occurrence counts.
+  Costas p(10);
+  util::Xoshiro256 rng(15);
+  p.randomize(rng);
+  const Cost before = p.total_cost();
+  auto clone = p.clone();
+  auto fresh = Costas(10).clone();
+  ASSERT_EQ(fresh->assign(p.values()), before);
+  for (int step = 0; step < 200; ++step) {
+    const auto i = static_cast<std::size_t>(rng.below(10));
+    auto j = static_cast<std::size_t>(rng.below(10));
+    if (i == j) j = (j + 1) % 10;
+    ASSERT_EQ(clone->swap(i, j), fresh->swap(i, j));
+  }
+  EXPECT_EQ(clone->total_cost(), clone->full_cost());
+  EXPECT_EQ(p.total_cost(), before);
+  EXPECT_EQ(p.full_cost(), before);
+  std::size_t j = 0;
+  Cost best = 0;
+  std::size_t ties = 0;
+  util::Xoshiro256 a(7);
+  util::Xoshiro256 b(7);
+  (void)p.best_swap_for(0, a, j, best, ties);
+  const Cost original_best = best;
+  auto copy = p.clone();
+  (void)copy->best_swap_for(0, b, j, best, ties);
+  EXPECT_EQ(best, original_best);
+}
+
 /// Property sweep over orders: the difference-triangle accounting stays
 /// exact through random trajectories.
 class CostasOrderSweep : public ::testing::TestWithParam<std::size_t> {};

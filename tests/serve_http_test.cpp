@@ -1,7 +1,8 @@
 // HttpServer front door: persistent connections — two (and three) requests
 // share one socket, a chunked solve stream is delimited by its zero-length
 // terminator so the next request can follow it, Connection: close and
-// HTTP/1.0 defaults are honored, and protocol errors answer 400.
+// HTTP/1.0 defaults are honored, protocol errors answer 400, and a churn
+// of one-shot connections leaves the thread count and address space flat.
 #include "serve/http_server.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,9 @@
 
 #include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 
@@ -297,6 +301,59 @@ TEST(ServeHttp, AFullLaneAnswers429BeforeTheStreamHeader) {
   (void)scheduler.cancel(queued);
   (void)scheduler.cancel(blocker);
   ::close(fd);
+  server.stop();
+  scheduler.shutdown();
+}
+
+/// Threads of this process, from /proc/self/task.
+std::size_t live_threads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::begin(tasks), std::filesystem::end(tasks)));
+}
+
+/// Virtual address space of this process in kB (VmSize in /proc/self/status).
+std::size_t vm_size_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoul(line.substr(7));
+  }
+  ADD_FAILURE() << "no VmSize in /proc/self/status";
+  return 0;
+}
+
+/// One-shot `GET /stats` on a fresh socket, read through the server's EOF.
+void one_shot_stats(std::uint16_t port) {
+  const int fd = connect_to(port);
+  send_text(fd, stats_request("Connection: close\r\n"));
+  char io[4096];
+  while (::recv(fd, io, sizeof io, 0) > 0) {
+  }
+  ::close(fd);
+}
+
+TEST(ServeHttp, ConnectionChurnKeepsThreadsAndAddressSpaceFlat) {
+  Scheduler scheduler;
+  HttpServer server(scheduler);
+  server.start();
+
+  // Warm up first, so the first connection threads' mappings are part of
+  // the baseline.
+  for (int i = 0; i < 100; ++i) one_shot_stats(server.port());
+  const std::size_t threads_before = live_threads();
+  const std::size_t vm_before_kb = vm_size_kb();
+
+  for (int i = 0; i < 1000; ++i) one_shot_stats(server.port());
+
+  // Finished connections are joined as new ones arrive, so at most the
+  // last few handlers can still be winding down.  Unjoined, the churn
+  // would keep ~1000 threads' stacks (8 MB each, ~8 GB) mapped.  The
+  // bound leaves room for a few more malloc arenas (64 MB of address
+  // space each), which glibc adds when handler threads briefly overlap.
+  EXPECT_LE(live_threads(), threads_before + 4);
+  EXPECT_LE(vm_size_kb(), vm_before_kb + 512 * 1024);
+
   server.stop();
   scheduler.shutdown();
 }

@@ -1,12 +1,14 @@
 // serve::Scheduler: lane priority on the warm path, batch give-back
 // preemption, service-queued preemption with correct terminal statuses,
-// cancellation semantics and shutdown.
+// cancellation semantics, shutdown, and a lost-wake-up stress on the
+// event-driven service dispatcher.
 #include "serve/scheduler.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -475,6 +477,120 @@ TEST(ServeScheduler, ShutdownCancelsQueuedAndRunningJobs) {
   EXPECT_THROW(
       (void)scheduler.submit(quick(Priority::kNormal, 3), recorder.events()),
       std::runtime_error);
+}
+
+TEST(ServeScheduler, EveryServiceJobReportsOnceUnderPreemptionAndCancels) {
+  // The service-path dispatcher has no timer: it sleeps until a submit,
+  // cancel, shutdown or job transition wakes it.  A wake-up it misses
+  // leaves a job unreported forever, so under this churn of lows suspended
+  // (running or queued) by highs, and of client cancels landing on queued,
+  // running and suspended jobs, a lost notify shows up as a timeout.
+  SchedulerOptions options;
+  options.warm_lease_threshold = 0;  // everything takes the service path
+  options.service_inflight = 1;
+  options.service.thread_budget = 2;
+  std::mutex m;
+  std::condition_variable cv;
+  std::map<std::uint64_t, int> reports;
+  std::map<std::uint64_t, std::string> statuses;
+  Scheduler scheduler(options);
+
+  JobEvents events;
+  events.on_report = [&](std::uint64_t id, std::string_view status,
+                         const api::SolveReport&, std::string_view) {
+    std::lock_guard lock(m);
+    ++reports[id];
+    statuses[id] = std::string(status);
+    cv.notify_all();
+  };
+
+  // First, deterministically, one running preemption: an endless low is
+  // suspended by a high once it runs, and resumes after it.  It keeps
+  // being suspended by the churn's highs until it is cancelled halfway.
+  std::vector<std::uint64_t> ids;
+  const std::uint64_t endless_low =
+      scheduler.submit(endless(Priority::kLow, 1000), events);
+  ids.push_back(endless_low);
+  ASSERT_TRUE(eventually([&] {
+    const auto order = scheduler.started_order();
+    return std::find(order.begin(), order.end(), endless_low) != order.end();
+  }));
+  ids.push_back(scheduler.submit(quick(Priority::kHigh, 1001), events));
+  ASSERT_TRUE(eventually([&] { return scheduler.stats().preempted_running >= 1; }));
+
+  constexpr std::size_t kChurn = 320;
+  const std::size_t kJobs = kChurn + ids.size();
+  std::size_t cancels = 0;
+  for (std::size_t i = 0; i < kChurn; ++i) {
+    if (i == kChurn / 2) {
+      ASSERT_EQ(scheduler.cancel(endless_low), Scheduler::CancelResult::kCancelled);
+      ++cancels;
+    }
+    SolveCommand command;
+    const bool low = i % 2 == 0;
+    command.priority = low ? Priority::kLow : Priority::kHigh;
+    command.request.walkers = 2;
+    command.request.seed = i + 1;
+    command.request.scheduling = parallel::Scheduling::kThreads;
+    if (low) {
+      // Unsolvable, tens of thousands of iterations: long enough to be
+      // caught running by the next high, short enough to finish.
+      command.request.problem = "langford:5";
+      command.request.termination = parallel::Termination::kBestAfterBudget;
+      core::Params params;
+      params.restart_limit = 20'000;
+      params.max_restarts = 0;
+      command.request.params = params;
+    } else {
+      command.request.problem = "costas:8";
+    }
+    ids.push_back(scheduler.submit(std::move(command), events));
+    // Every seventh step cancels a job submitted a few steps back, which
+    // by then may be queued, running, suspended or already done.
+    if (i % 7 == 6) {
+      if (scheduler.cancel(ids[ids.size() - 5]) ==
+          Scheduler::CancelResult::kCancelled) {
+        ++cancels;
+      }
+    }
+    // Vary the gap so highs land on lows queued, launching and running.
+    std::this_thread::sleep_for(std::chrono::microseconds((i * 37) % 400));
+  }
+
+  std::size_t done = 0;
+  std::size_t cancelled = 0;
+  {
+    std::unique_lock lock(m);
+    ASSERT_TRUE(cv.wait_for(lock, milliseconds(60'000),
+                            [&] { return reports.size() == kJobs; }))
+        << reports.size() << " of " << kJobs << " jobs reported";
+    for (const std::uint64_t id : ids) {
+      EXPECT_EQ(reports[id], 1) << "job " << id;
+      const std::string& status = statuses[id];
+      EXPECT_TRUE(status == "done" || status == "cancelled")
+          << "job " << id << ": " << status;
+      if (id == endless_low) EXPECT_EQ(status, "cancelled");
+      done += status == "done" ? 1 : 0;
+      cancelled += status == "cancelled" ? 1 : 0;
+    }
+  }
+  // A cancel that took effect may still lose to natural completion.
+  EXPECT_LE(cancelled, cancels);
+
+  const SchedulerStats stats = scheduler.stats();
+  EXPECT_EQ(stats.submitted, kJobs);
+  EXPECT_EQ(stats.completed, done);
+  EXPECT_EQ(stats.cancelled, cancelled);
+  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_EQ(stats.submitted, stats.completed + stats.cancelled + stats.failed);
+  EXPECT_LE(stats.resumed, stats.preempted_running + stats.preempted_queued);
+  EXPECT_GE(stats.preempted_running, 1u);
+  EXPECT_EQ(stats.inflight, 0u);
+  for (const std::size_t queued : stats.queued) EXPECT_EQ(queued, 0u);
+  scheduler.shutdown();
+  std::lock_guard lock(m);
+  EXPECT_EQ(reports.size(), kJobs);  // shutdown reported nothing twice
+  for (const auto& [id, count] : reports) EXPECT_EQ(count, 1) << "job " << id;
 }
 
 }  // namespace

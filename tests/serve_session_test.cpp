@@ -1,7 +1,8 @@
 // End-to-end through the stdio transport: the streaming event grammar
 // (accepted -> nonincreasing samples -> report), fixed-seed report
 // byte-identity with the in-process api::Solver path, wire-boundary error
-// containment, and the service_dispatch fault leg.
+// containment (hostile warm_start / resume_from configurations on every
+// kernel answer bad_request), and the service_dispatch fault leg.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "api/solver.hpp"
+#include "problems/spec.hpp"
 #include "serve/stdio_server.hpp"
 #include "util/fault.hpp"
 
@@ -177,6 +179,81 @@ TEST(ServeSession, BadRequestBodyAndUnknownJobCancelAreStructuredErrors) {
   EXPECT_TRUE(events[2].at("service").contains("thread_budget"));
   EXPECT_TRUE(events[2].at("service").contains("retried"));
 }
+
+TEST(ServeSession, OutOfRangeWarmStartAnswersBadRequestInsteadOfCrashing) {
+  // Once a segfault: the values indexed costas' slot tables unchecked.
+  const auto events = serve_lines({
+      R"({"op":"solve","request":{"problem":"costas:8","walkers":1,"warm_start":[100000000,-100000000,3,3,3,3,3,3]}})",
+      R"({"op":"stats"})",
+  });
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].at("event").as_string(), "error");
+  EXPECT_EQ(events[0].at("code").as_string(), "bad_request");
+  EXPECT_EQ(events[1].at("event").as_string(), "stats");
+}
+
+/// Every kernel refuses configurations outside its value set at the wire:
+/// out-of-range values, a non-permutation (no swap sequence could ever
+/// repair it) and a resume checkpoint carrying either.
+class HostileConfiguration : public testing::TestWithParam<const char*> {};
+
+TEST_P(HostileConfiguration, AnswersBadRequestAndTheServerKeepsServing) {
+  const std::string spec = GetParam();
+  const auto problem = problems::instantiate(problems::parse_spec(spec));
+  const std::vector<int> canonical(problem->values().begin(),
+                                   problem->values().end());
+  ASSERT_GE(canonical.size(), 2u);
+
+  std::vector<int> out_of_range = canonical;
+  out_of_range[0] = 100'000'000;
+  out_of_range[1] = -100'000'000;
+  const std::vector<int> repeated(canonical.size(), canonical[0]);
+
+  api::SolveRequest request;
+  request.problem = spec;
+  request.walkers = 1;
+  request.scheduling = parallel::Scheduling::kSequential;
+  std::vector<std::string> lines;
+  for (const std::vector<int>& values : {out_of_range, repeated}) {
+    api::SolveRequest warm = request;
+    warm.warm_start = values;
+    lines.push_back(solve_line(warm, false, 0, "warm"));
+
+    parallel::PoolCheckpoint checkpoint;
+    parallel::PoolCheckpoint::WalkerEntry walker;
+    walker.stage = parallel::PoolCheckpoint::WalkerStage::kRunning;
+    walker.checkpoint.values = values;
+    walker.checkpoint.best = canonical;
+    walker.checkpoint.tabu_until.assign(canonical.size(), 0);
+    checkpoint.walkers.push_back(walker);
+    api::SolveRequest resume = request;
+    resume.resume_from = checkpoint;
+    lines.push_back(solve_line(resume, false, 0, "resume"));
+  }
+  lines.emplace_back(R"({"op":"stats"})");
+
+  const auto events = serve_lines(lines);
+  ASSERT_EQ(events.size(), 5u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(events[i].at("event").as_string(), "error") << i;
+    EXPECT_EQ(events[i].at("code").as_string(), "bad_request") << i;
+    EXPECT_NE(events[i].at("message").as_string().find("permutation"),
+              std::string::npos)
+        << events[i].at("message").as_string();
+  }
+  EXPECT_EQ(events[4].at("event").as_string(), "stats");
+
+  // Behind the wire, the model itself refuses to install them.
+  EXPECT_THROW((void)problem->assign(out_of_range), std::invalid_argument);
+  EXPECT_THROW((void)problem->assign(repeated), std::invalid_argument);
+  EXPECT_NO_THROW((void)problem->assign(canonical));
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryKernel, HostileConfiguration,
+                         testing::Values("costas:8", "queens:8",
+                                         "all-interval:8", "magic-square:3",
+                                         "langford:4", "partition:8",
+                                         "perfect-square", "alpha"));
 
 TEST(ServeSession, ServiceDispatchThrowFaultFailsTheJobNotTheServer) {
   if (!util::fault::kCompiledIn) {
