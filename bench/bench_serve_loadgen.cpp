@@ -3,15 +3,14 @@
 // same bytes a stdio/HTTP client would exchange) and reports end-to-end
 // latency percentiles and throughput per priority lane.
 //
-// Runs the identical job set twice — once with warm-batch fusion disabled
-// (every claimed job is a solo launch) and once with it enabled (one fused
-// launch per claimed batch) — so the fusion win is measured in-process under
-// the same load, not across runs.  The fused pass is the primary result;
-// the unfused pass rides along as per-lane comparison columns.
+// The job set runs `--repeats` times on a fresh scheduler each time and the
+// best pass is kept: a small solve finishes in milliseconds, so one
+// descheduling blip otherwise dominates the wall time.
 //
 // Defaults complete 1000 jobs; --quick is the CI smoke budget.  The CSV
 // (SERVE_load.csv) schema is validated by tools/check_serve_load.py; the
-// JSON (BENCH_serve.json) is the committed baseline of record.
+// JSON (BENCH_serve.json) is the committed baseline of record and carries
+// the host and build labels it was measured under.
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
@@ -27,6 +26,7 @@
 #include "serve/session.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
+#include "util/simd.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -54,8 +54,6 @@ struct PassConfig {
   std::size_t warm_workers = 0;
   std::size_t warm_batch_max = 0;
   std::size_t thread_budget = 0;
-  bool fuse = false;
-  std::size_t fused_threads = 1;
 };
 
 struct PassResult {
@@ -88,8 +86,6 @@ PassResult run_pass(const PassConfig& config) {
   options.warm_workers = config.warm_workers;
   options.warm_batch_max = config.warm_batch_max;
   options.service.thread_budget = config.thread_budget;
-  options.fuse_warm_batches = config.fuse;
-  options.warm_fused_threads = config.fused_threads;
   serve::Scheduler scheduler(options);
 
   // tag -> submit time; filled before each handle_line, matched against the
@@ -283,40 +279,78 @@ PreemptProfile run_preempt_profile(bool with_resume, std::uint64_t lows,
   return profile;
 }
 
-void append_json_pass(std::string& json, std::string_view name,
-                      PassResult& pass) {
-  json += "    \"" + std::string(name) + "\": {\n";
-  json += "      \"wall_seconds\": " + fmt(pass.wall_seconds) + ",\n";
-  json += "      \"throughput_per_s\": " + fmt(pass.throughput) + ",\n";
-  json += "      \"batches\": " + std::to_string(pass.stats.batches) + ",\n";
-  json += "      \"batched_jobs\": " +
+const char* compiled_isa() {
+#if defined(__AVX512F__)
+  return "avx512f";
+#elif defined(__AVX2__)
+  return "avx2";
+#elif defined(__SSE4_2__)
+  return "sse4.2";
+#elif defined(__SSE2__)
+  return "sse2";
+#elif defined(__aarch64__)
+  return "aarch64";
+#else
+  return "generic";
+#endif
+}
+
+/// The host and build a measurement was taken on, as one JSON object.
+std::string host_json() {
+#if defined(__clang__)
+  const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = std::string("gcc ") + __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+#ifdef NDEBUG
+  const bool ndebug = true;
+#else
+  const bool ndebug = false;
+#endif
+  std::string json = "{";
+  json += "\"compiler\": \"" + compiler + "\"";
+  json += ", \"build_type\": \"" CSPLS_BUILD_TYPE "\"";
+  json += std::string(", \"ndebug\": ") + (ndebug ? "true" : "false");
+  json += std::string(", \"compiled_isa\": \"") + compiled_isa() + "\"";
+  json += std::string(", \"simd_tier\": \"") +
+          cspls::util::simd::tier_name() + "\"";
+  json += ", \"host_cores\": " +
+          std::to_string(std::thread::hardware_concurrency());
+  json += "}";
+  return json;
+}
+
+void append_json_pass(std::string& json, PassResult& pass) {
+  json += "  \"pass\": {\n";
+  json += "    \"wall_seconds\": " + fmt(pass.wall_seconds) + ",\n";
+  json += "    \"throughput_per_s\": " + fmt(pass.throughput) + ",\n";
+  json += "    \"batches\": " + std::to_string(pass.stats.batches) + ",\n";
+  json += "    \"batched_jobs\": " +
           std::to_string(pass.stats.batched_jobs) + ",\n";
-  json += "      \"fused_batches\": " +
-          std::to_string(pass.stats.fused_batches) + ",\n";
-  json += "      \"fused_jobs\": " + std::to_string(pass.stats.fused_jobs) +
+  json += "    \"givebacks\": " + std::to_string(pass.stats.givebacks) +
           ",\n";
-  json += "      \"givebacks\": " + std::to_string(pass.stats.givebacks) +
-          ",\n";
-  json += "      \"preempted_queued\": " +
+  json += "    \"preempted_queued\": " +
           std::to_string(pass.stats.preempted_queued) + ",\n";
-  json += "      \"preempted_running\": " +
+  json += "    \"preempted_running\": " +
           std::to_string(pass.stats.preempted_running) + ",\n";
-  json += "      \"resumed\": " + std::to_string(pass.stats.resumed) + ",\n";
-  json += "      \"rejected_overload\": " +
+  json += "    \"resumed\": " + std::to_string(pass.stats.resumed) + ",\n";
+  json += "    \"rejected_overload\": " +
           std::to_string(pass.stats.rejected_overload) + ",\n";
-  json += "      \"lanes\": {\n";
+  json += "    \"lanes\": {\n";
   bool first = true;
   for (const std::string_view priority : kPriorities) {
     LaneAgg& agg = pass.lanes[std::string(priority)];
     if (!first) json += ",\n";
     first = false;
-    json += "        \"" + std::string(priority) + "\": {";
+    json += "      \"" + std::string(priority) + "\": {";
     json += "\"jobs\": " + std::to_string(agg.total());
     json += ", \"p50_ms\": " + fmt(percentile(agg.latencies_ms, 0.50));
     json += ", \"p99_ms\": " + fmt(percentile(agg.latencies_ms, 0.99));
     json += "}";
   }
-  json += "\n      }\n    }";
+  json += "\n    }\n  }";
 }
 
 }  // namespace
@@ -326,17 +360,14 @@ int main(int argc, char** argv) {
 
   util::ArgParser args("bench_serve_loadgen",
                        "serving-tier latency/throughput under concurrent "
-                       "small solves, fused vs unfused warm batches");
+                       "small solves");
   args.add_uint64("jobs", 1000, "solve jobs to push through the wire");
   args.add_string("problem", "costas:6", "instance spec per job");
   args.add_uint64("warm-workers", 4, "warm-pool worker threads");
   args.add_uint64("batch", 8, "warm batch claim size");
   args.add_uint64("threads", 0, "service-path walker-thread budget");
-  args.add_uint64("fused-threads", 1,
-                  "fused launch team size (0 = cores/warm-workers)");
   args.add_flag("stream", "request sample streaming on every job");
-  args.add_uint64("repeats", 3,
-                  "passes per mode (alternating); best throughput kept");
+  args.add_uint64("repeats", 3, "passes over the job set; best kept");
   args.add_uint64("seed", 0xC5B15, "base seed (job i uses seed + i)");
   args.add_string("csv", "SERVE_load.csv", "output CSV path");
   args.add_string("json", "BENCH_serve.json", "output JSON baseline path");
@@ -352,34 +383,25 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.get_uint64("warm-workers"));
   config.warm_batch_max = static_cast<std::size_t>(args.get_uint64("batch"));
   config.thread_budget = static_cast<std::size_t>(args.get_uint64("threads"));
-  config.fused_threads =
-      static_cast<std::size_t>(args.get_uint64("fused-threads"));
 
-  // Same jobs, same seeds, fresh scheduler each time: the only variable is
-  // whether a claimed warm batch becomes one fused launch or a solo loop.
-  // Both modes run `repeats` times, alternating so ambient drift hits them
-  // symmetrically; the best pass per mode is kept — a small solve finishes
-  // in milliseconds, so one descheduling blip otherwise dominates the wall.
+  // Same jobs, same seeds, fresh scheduler each time; the best pass is
+  // kept.
   const std::uint64_t repeats =
       std::max<std::uint64_t>(1, args.get_uint64("repeats"));
-  PassResult unfused, fused;
+  PassResult best;
+  std::uint64_t failed = 0;
   for (std::uint64_t r = 0; r < repeats; ++r) {
-    config.fuse = false;
-    PassResult u = run_pass(config);
-    if (r == 0 || u.throughput > unfused.throughput) unfused = std::move(u);
-    config.fuse = true;
-    PassResult f = run_pass(config);
-    if (r == 0 || f.throughput > fused.throughput) fused = std::move(f);
+    PassResult pass = run_pass(config);
+    failed += pass.lanes["all"].failed;
+    if (r == 0 || pass.throughput > best.throughput) best = std::move(pass);
   }
 
-  util::Table table({"mode", "lane", "jobs", "solved", "failed", "cancelled",
+  util::Table table({"lane", "jobs", "solved", "failed", "cancelled",
                      "p50_ms", "p90_ms", "p99_ms", "max_ms"});
-  const auto row_of = [&](std::string_view mode, std::string_view lane,
-                          LaneAgg& agg) {
+  const auto row_of = [&](std::string_view lane, LaneAgg& agg) {
     const double max_ms =
         agg.latencies_ms.empty() ? 0.0 : agg.latencies_ms.back();
     return std::vector<std::string>{
-        std::string(mode),
         std::string(lane),
         std::to_string(agg.total()),
         std::to_string(agg.solved),
@@ -390,38 +412,20 @@ int main(int argc, char** argv) {
         fmt(percentile(agg.latencies_ms, 0.99)),
         fmt(max_ms)};
   };
-  for (const std::string_view priority :
-       {std::string_view("high"), std::string_view("normal"),
-        std::string_view("low"), std::string_view("all")}) {
-    table.add_row(row_of("unfused", priority,
-                         unfused.lanes[std::string(priority)]));
-  }
-  for (const std::string_view priority :
-       {std::string_view("high"), std::string_view("normal"),
-        std::string_view("low"), std::string_view("all")}) {
-    table.add_row(row_of("fused", priority,
-                         fused.lanes[std::string(priority)]));
+  constexpr std::string_view kRows[] = {"high", "normal", "low", "all"};
+  for (const std::string_view lane : kRows) {
+    table.add_row(row_of(lane, best.lanes[std::string(lane)]));
   }
 
   std::cout << "bench_serve_loadgen: " << config.jobs << " x "
-            << config.problem << " through the wire, twice ("
-            << config.warm_workers << " warm workers; unfused then fused)\n\n"
+            << config.problem << " through the wire (" << config.warm_workers
+            << " warm workers, best of " << repeats << " passes)\n\n"
             << table.render();
-  const auto pass_line = [&](std::string_view mode, const PassResult& pass) {
-    std::cout << mode << ": wall " << fmt(pass.wall_seconds * 1000.0)
-              << " ms, throughput " << fmt(pass.throughput)
-              << " jobs/s, batches " << pass.stats.batches << " ("
-              << pass.stats.batched_jobs << " jobs), fused "
-              << pass.stats.fused_batches << " ("
-              << pass.stats.fused_jobs << " jobs), givebacks "
-              << pass.stats.givebacks << "\n";
-  };
-  std::cout << "\n";
-  pass_line("unfused", unfused);
-  pass_line("fused  ", fused);
-  const double speedup =
-      unfused.throughput > 0.0 ? fused.throughput / unfused.throughput : 0.0;
-  std::cout << "fused/unfused throughput: " << fmt(speedup) << "x\n";
+  std::cout << "\nwall " << fmt(best.wall_seconds * 1000.0)
+            << " ms, throughput " << fmt(best.throughput)
+            << " jobs/s, batches " << best.stats.batches << " ("
+            << best.stats.batched_jobs << " jobs), givebacks "
+            << best.stats.givebacks << "\n";
 
   // Mixed-priority preemption profile: the same arrival pattern with and
   // without running preemption (suspend-to-checkpoint + resume).
@@ -442,32 +446,20 @@ int main(int argc, char** argv) {
   profile_line("resume  ", preempt);
   profile_line("noresume", noresume);
 
-  // CSV: the fused pass is the primary row set; the unfused pass rides
-  // along as per-lane comparison columns.
   util::CsvWriter csv(args.get_string("csv"));
   std::vector<std::vector<std::string>> csv_rows;
-  for (const std::string_view priority :
-       {std::string_view("high"), std::string_view("normal"),
-        std::string_view("low"), std::string_view("all")}) {
-    LaneAgg& agg = fused.lanes[std::string(priority)];
-    LaneAgg& base = unfused.lanes[std::string(priority)];
-    std::vector<std::string> row = row_of("fused", priority, agg);
-    row.erase(row.begin());  // the CSV has no mode column
-    row.push_back(fmt(fused.wall_seconds));
-    row.push_back(fmt(fused.throughput));
-    row.push_back(std::to_string(fused.stats.batches));
-    row.push_back(std::to_string(fused.stats.batched_jobs));
-    row.push_back(std::to_string(fused.stats.givebacks));
-    row.push_back(std::to_string(fused.samples_seen));
-    row.push_back(std::to_string(fused.stats.fused_batches));
-    row.push_back(std::to_string(fused.stats.fused_jobs));
-    row.push_back(fmt(percentile(base.latencies_ms, 0.50)));
-    row.push_back(fmt(percentile(base.latencies_ms, 0.99)));
-    row.push_back(fmt(unfused.throughput));
-    row.push_back(std::to_string(fused.stats.preempted_queued));
-    row.push_back(std::to_string(fused.stats.preempted_running));
-    row.push_back(std::to_string(fused.stats.resumed));
-    row.push_back(std::to_string(fused.stats.rejected_overload));
+  for (const std::string_view lane : kRows) {
+    std::vector<std::string> row = row_of(lane, best.lanes[std::string(lane)]);
+    row.push_back(fmt(best.wall_seconds));
+    row.push_back(fmt(best.throughput));
+    row.push_back(std::to_string(best.stats.batches));
+    row.push_back(std::to_string(best.stats.batched_jobs));
+    row.push_back(std::to_string(best.stats.givebacks));
+    row.push_back(std::to_string(best.samples_seen));
+    row.push_back(std::to_string(best.stats.preempted_queued));
+    row.push_back(std::to_string(best.stats.preempted_running));
+    row.push_back(std::to_string(best.stats.resumed));
+    row.push_back(std::to_string(best.stats.rejected_overload));
     row.push_back(fmt(percentile(preempt.high_ms, 0.50)));
     row.push_back(fmt(percentile(preempt.low_ms, 0.50)));
     row.push_back(fmt(percentile(preempt.low_ms, 0.99)));
@@ -481,10 +473,8 @@ int main(int argc, char** argv) {
   csv.write_all({"lane", "jobs", "solved", "failed", "cancelled", "p50_ms",
                  "p90_ms", "p99_ms", "max_ms", "wall_seconds",
                  "throughput_per_s", "batches", "batched_jobs", "givebacks",
-                 "samples", "fused_batches", "fused_jobs", "unfused_p50_ms",
-                 "unfused_p99_ms", "unfused_throughput_per_s",
-                 "preempted_queued", "preempted_running", "resumed",
-                 "rejected_overload", "preempt_high_p50_ms",
+                 "samples", "preempted_queued", "preempted_running",
+                 "resumed", "rejected_overload", "preempt_high_p50_ms",
                  "preempt_low_p50_ms", "preempt_low_p99_ms",
                  "preempt_preempted_running", "preempt_resumed",
                  "noresume_high_p50_ms", "noresume_low_p50_ms",
@@ -492,7 +482,11 @@ int main(int argc, char** argv) {
                 csv_rows);
   std::cout << "CSV: " << csv.path() << "\n";
 
-  std::string json = "{\n  \"schema\": \"cspls-bench-serve/1\",\n";
+  std::string json = "{\n  \"schema\": \"cspls-bench-serve/2\",\n";
+  json += "  \"command\": \"bench_serve_loadgen";
+  for (int i = 1; i < argc; ++i) json += std::string(" ") + argv[i];
+  json += "\",\n";
+  json += "  \"host\": " + host_json() + ",\n";
   json += "  \"quick\": " +
           std::string(args.flag("quick") ? "true" : "false") + ",\n";
   json += "  \"jobs\": " + std::to_string(config.jobs) + ",\n";
@@ -501,13 +495,9 @@ int main(int argc, char** argv) {
           ",\n";
   json += "  \"warm_batch_max\": " +
           std::to_string(config.warm_batch_max) + ",\n";
-  json += "  \"host_cores\": " +
-          std::to_string(std::thread::hardware_concurrency()) + ",\n";
-  json += "  \"passes\": {\n";
-  append_json_pass(json, "unfused", unfused);
+  json += "  \"repeats\": " + std::to_string(repeats) + ",\n";
+  append_json_pass(json, best);
   json += ",\n";
-  append_json_pass(json, "fused", fused);
-  json += "\n  },\n";
   const auto profile_json = [&](std::string_view name, PreemptProfile& p) {
     std::string out = "    \"" + std::string(name) + "\": {";
     out += "\"high_p50_ms\": " + fmt(percentile(p.high_ms, 0.50));
@@ -521,8 +511,7 @@ int main(int argc, char** argv) {
   };
   json += "  \"preemption\": {\n";
   json += profile_json("resume", preempt) + ",\n";
-  json += profile_json("noresume", noresume) + "\n  },\n";
-  json += "  \"fused_speedup\": " + fmt(speedup) + "\n}\n";
+  json += profile_json("noresume", noresume) + "\n  }\n}\n";
   const std::string& json_path = args.get_string("json");
   std::ofstream out(json_path);
   if (!out) {
@@ -533,7 +522,5 @@ int main(int argc, char** argv) {
   out.close();
   std::cout << "JSON: " << json_path << "\n";
 
-  const std::uint64_t failed =
-      unfused.lanes["all"].failed + fused.lanes["all"].failed;
   return failed == 0 ? 0 : 1;
 }

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   };
 
   util::Xoshiro256 rng(args.get_uint64("seed"));
-  const core::Result result = engine.solve(problem, rng, nullptr, hooks);
+  const core::Result result = engine.solve(problem, rng, {}, hooks);
 
   std::printf("\n%s after %llu iterations (%llu resets, %llu restarts, "
               "%.3fs)\n\n",

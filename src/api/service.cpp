@@ -26,8 +26,6 @@ util::Json ServiceStats::to_json() const {
   json.set("failed", failed);
   json.set("retried", retried);
   json.set("degraded", degraded);
-  json.set("fused_batches", fused_batches);
-  json.set("fused_jobs", fused_jobs);
   json.set("thread_budget", static_cast<std::uint64_t>(thread_budget));
   json.set("free_threads", static_cast<std::uint64_t>(free_threads));
   return json;
@@ -84,12 +82,11 @@ struct JobState {
 
 /// A worker thread exists only for *running* jobs (admitted by the
 /// dispatcher with >= 1 leased slot each), so live worker threads never
-/// exceed the thread budget.  A solo worker carries one job; a fused worker
-/// carries every member of its batch (each holding its own lease).  The
+/// exceed the thread budget.  Each worker carries the one job it runs; the
 /// dispatcher's own entry carries none.
 struct Worker {
   std::jthread thread;
-  std::vector<std::shared_ptr<JobState>> jobs;
+  std::shared_ptr<JobState> job;
 };
 
 struct ServiceCore {
@@ -97,6 +94,10 @@ struct ServiceCore {
   std::condition_variable cv;  ///< submissions, cancels, budget returns
   std::deque<std::shared_ptr<JobState>> fifo;
   std::size_t free_threads = 0;
+  /// Cancel/suspend requests since the dispatcher last drained the FIFO:
+  /// it scans the queue for flagged jobs only when this is non-zero, so a
+  /// deep queue costs no per-admission scan.
+  std::size_t flag_requests = 0;
   std::uint64_t next_id = 1;
   bool shutdown = false;
   std::vector<Worker> workers;  ///< running/unreaped jobs only
@@ -110,8 +111,6 @@ struct ServiceCore {
   std::atomic<std::uint64_t> failed{0};
   std::atomic<std::uint64_t> retried{0};
   std::atomic<std::uint64_t> degraded{0};
-  std::atomic<std::uint64_t> fused_batches{0};
-  std::atomic<std::uint64_t> fused_jobs{0};
 };
 
 namespace {
@@ -157,13 +156,14 @@ void finish_cancelled(const std::shared_ptr<JobState>& job) {
   finish(job, JobStatus::kCancelled, std::move(report), {});
 }
 
-/// Wake the dispatcher after a cancel/preempt flag flip.  Its wait
-/// predicate reads the flags under core.m, so notifying while holding
-/// core.m keeps the notify from landing between that check and the wait,
-/// where it would be lost.
+/// Record a cancel/preempt flag flip and wake the dispatcher.  Its wait
+/// predicate reads the request count under core.m, so counting and
+/// notifying while holding core.m keeps the notify from landing between
+/// that check and the wait, where it would be lost.
 void wake_dispatcher(const JobState& job) {
   if (job.core == nullptr) return;
   const std::lock_guard<std::mutex> guard(job.core->m);
+  ++job.core->flag_requests;
   job.core->cv.notify_all();
 }
 
@@ -574,140 +574,6 @@ void run_admitted_job(const std::shared_ptr<detail::ServiceCore>& core,
   detail::finish(job, status, std::move(report), std::move(error));
 }
 
-/// Largest run of fusible jobs admitted as one batch — bounds a fused
-/// worker's memory footprint and how long one launch can monopolize the
-/// budget; the dispatcher starts another batch as soon as this one ends.
-constexpr std::size_t kMaxFusedBatch = 32;
-
-/// A request the dispatcher may fuse into a shared batch launch: one
-/// thread lease (sequential/emulated scheduling, or a threaded pool
-/// already collapsed to one thread), a single attempt and no watchdog —
-/// the retry/supervision loop stays a per-worker affair.
-bool fusible(const SolveRequest& request, std::size_t per_job_cap) {
-  return desired_threads(request, per_job_cap) == 1 &&
-         request.retry.max_attempts <= 1 && request.watchdog_stall_ms == 0;
-}
-
-/// Fused worker body: one Solver::solve_fused launch for the whole batch.
-/// Each member holds its own single-slot lease; the resident team is sized
-/// to the batch, so thread accounting matches running the members solo.
-/// Per-member status transitions mirror run_admitted_job's single-attempt
-/// tail — a member's report lands (and its waiters wake) the moment it
-/// finishes, while siblings keep running.
-void run_fused_jobs(const std::shared_ptr<detail::ServiceCore>& core,
-                    const std::vector<std::shared_ptr<detail::JobState>>& jobs) {
-  try {
-    std::vector<Solver::FusedSolveJob> members;
-    std::vector<std::shared_ptr<detail::JobState>> live;
-    members.reserve(jobs.size());
-    live.reserve(jobs.size());
-    for (const auto& job : jobs) {
-      set_status(job, JobStatus::kRunning);
-      // The solo path's first act, per member: the service_dispatch fault
-      // probe.  A corrupt plan fails this member before launch; siblings
-      // still run.
-      try {
-        const util::fault::Schedule fault_schedule =
-            util::fault::kCompiledIn
-                ? util::fault::Schedule::with_env(job->request.faults)
-                : util::fault::Schedule{};
-        util::fault::Session dispatch_faults(&fault_schedule,
-                                             util::fault::kAnyWalker);
-        if (util::fault::probe(&dispatch_faults,
-                               util::fault::Site::kServiceDispatch) ==
-            util::fault::Action::kCorrupt) {
-          throw std::runtime_error(
-              "injected fault: corrupt service_dispatch");
-        }
-      } catch (const std::exception& e) {
-        SolveReport failed;
-        failed.attempts = 1;
-        detail::finish(job, JobStatus::kFailed, std::move(failed), e.what());
-        continue;
-      }
-
-      Solver::FusedSolveJob member;
-      member.request = job->request;
-      member.request.walkers =
-          std::max<std::size_t>(1, job->request.walkers);
-      if (member.request.scheduling == parallel::Scheduling::kThreads) {
-        member.request.max_threads = 1;  // the member's single-slot lease
-      }
-      member.token = core::StopToken(&job->cancel);
-      if (job->stream.on_sample && job->stream.sample_period != 0) {
-        member.callbacks.sample_sink = job->stream.on_sample;
-        member.callbacks.sample_period = job->stream.sample_period;
-      }
-      members.push_back(std::move(member));
-      live.push_back(job);
-    }
-
-    // Per-member preemption channels: slot addresses must stay stable
-    // through the launch, so wire them only after the build loop is done
-    // growing `members`.
-    std::vector<std::optional<parallel::PoolCheckpoint>> checkpoints(
-        members.size());
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      members[i].callbacks.preempt = &live[i]->preempt;
-      members[i].callbacks.checkpoint_out = &checkpoints[i];
-    }
-
-    Solver::FusedSolveOptions options;
-    options.num_threads = jobs.size();  // one team thread per leased slot
-    (void)Solver::solve_fused(
-        members, options, [&](std::size_t i, SolveReport report) {
-          const auto& job = live[i];
-          report.attempts = 1;
-          JobStatus status = JobStatus::kDone;
-          std::string error;
-          const bool all_failed =
-              !report.walkers.empty() &&
-              report.failed_walkers == report.walkers.size();
-          if (report.cancelled) {
-            status = JobStatus::kCancelled;
-          } else if (report.preempted) {
-            if (checkpoints[i].has_value()) {
-              status = JobStatus::kPreempted;
-              std::lock_guard<std::mutex> guard(job->m);
-              job->checkpoint = std::move(checkpoints[i]);
-            } else {
-              // Failed capture degrades to a plain cancel (see
-              // run_admitted_job).
-              report.preempted = false;
-              report.cancelled = true;
-              status = JobStatus::kCancelled;
-            }
-          } else if (all_failed) {
-            status = JobStatus::kFailed;
-            error = "all " + std::to_string(report.walkers.size()) +
-                    " walkers failed on every attempt (1 of 1); walker 0: " +
-                    report.walkers.front().error;
-          }
-          detail::finish(job, status, std::move(report), std::move(error));
-        });
-  } catch (const std::exception& e) {
-    for (const auto& job : jobs) {
-      if (!detail::terminal(job)) {
-        detail::finish(job, JobStatus::kFailed, {},
-                       std::string("fused dispatch failed: ") + e.what());
-      }
-    }
-  } catch (...) {
-    for (const auto& job : jobs) {
-      if (!detail::terminal(job)) {
-        detail::finish(job, JobStatus::kFailed, {},
-                       "fused dispatch failed: unknown exception");
-      }
-    }
-  }
-
-  {
-    std::lock_guard<std::mutex> guard(core->m);
-    core->free_threads += jobs.size();
-  }
-  core->cv.notify_all();
-}
-
 }  // namespace
 
 SolverService::SolverService(Options options)
@@ -735,7 +601,7 @@ void SolverService::shutdown() {
     core_->fifo.clear();
   }
   for (const detail::Worker& worker : workers) {
-    for (const auto& job : worker.jobs) (void)detail::request_cancel(*job);
+    if (worker.job) (void)detail::request_cancel(*worker.job);
   }
   core_->cv.notify_all();
   // Jobs never admitted finish as cancelled here (the dispatcher may
@@ -780,57 +646,13 @@ JobHandle SolverService::submit(SolveRequest request, JobStream stream) {
   return JobHandle(job);
 }
 
-std::vector<JobHandle> SolverService::submit_batch(
-    std::vector<SolveRequest> requests) {
-  const auto throw_if_shutdown = [this] {
-    if (core_->shutdown) {
-      throw std::runtime_error("SolverService: submit after shutdown");
-    }
-  };
-  {
-    std::lock_guard<std::mutex> guard(core_->m);
-    throw_if_shutdown();
-  }
-
-  // All-or-nothing validation before any member is enqueued.
-  for (const SolveRequest& request : requests) request.validate();
-
-  std::vector<std::shared_ptr<detail::JobState>> jobs;
-  jobs.reserve(requests.size());
-  for (SolveRequest& request : requests) {
-    auto job = std::make_shared<detail::JobState>();
-    job->request = std::move(request);
-    job->core = core_;
-    jobs.push_back(std::move(job));
-  }
-  {
-    std::lock_guard<std::mutex> guard(core_->m);
-    throw_if_shutdown();  // closed while we were validating
-    for (const auto& job : jobs) {
-      job->id = core_->next_id++;
-      core_->fifo.push_back(job);
-    }
-  }
-  core_->submitted.fetch_add(jobs.size(), std::memory_order_relaxed);
-  // One wake-up for the whole batch: the dispatcher sees every member at
-  // once, which is what lets it fuse them into a single launch.
-  core_->cv.notify_all();
-
-  std::vector<JobHandle> handles;
-  handles.reserve(jobs.size());
-  for (auto& job : jobs) handles.push_back(JobHandle(std::move(job)));
-  return handles;
-}
-
 ServiceStats SolverService::stats() const {
   ServiceStats snapshot;
   {
     std::lock_guard<std::mutex> guard(core_->m);
     snapshot.queued = core_->fifo.size();
     for (const detail::Worker& worker : core_->workers) {
-      for (const auto& job : worker.jobs) {
-        if (!detail::terminal(job)) ++snapshot.running;
-      }
+      if (worker.job && !detail::terminal(worker.job)) ++snapshot.running;
     }
     snapshot.free_threads = core_->free_threads;
   }
@@ -841,9 +663,6 @@ ServiceStats SolverService::stats() const {
   snapshot.failed = core_->failed.load(std::memory_order_relaxed);
   snapshot.retried = core_->retried.load(std::memory_order_relaxed);
   snapshot.degraded = core_->degraded.load(std::memory_order_relaxed);
-  snapshot.fused_batches =
-      core_->fused_batches.load(std::memory_order_relaxed);
-  snapshot.fused_jobs = core_->fused_jobs.load(std::memory_order_relaxed);
   snapshot.thread_budget = budget_;
   return snapshot;
 }
@@ -852,9 +671,7 @@ std::size_t SolverService::pending_jobs() const {
   std::lock_guard<std::mutex> guard(core_->m);
   std::size_t pending = core_->fifo.size();
   for (const detail::Worker& worker : core_->workers) {
-    for (const auto& job : worker.jobs) {
-      if (!detail::terminal(job)) ++pending;
-    }
+    if (worker.job && !detail::terminal(worker.job)) ++pending;
   }
   return pending;
 }
@@ -869,11 +686,7 @@ void SolverService::dispatch_loop() {
       if (core.free_threads > 0) return true;
       // No budget: still wake to drain cancelled/suspended queued jobs
       // promptly.
-      return std::any_of(
-          core.fifo.begin(), core.fifo.end(), [](const auto& job) {
-            return job->cancel.load(std::memory_order_relaxed) ||
-                   job->preempt.load(std::memory_order_relaxed);
-          });
+      return core.flag_requests > 0;
     });
     if (core.shutdown) return;
 
@@ -882,7 +695,10 @@ void SolverService::dispatch_loop() {
     // waiting for budget.  A suspended queued job never ran, so it resolves
     // kPreempted with *no* checkpoint — resubmitting the original request
     // verbatim is its exact resume (cancel wins when both flags are up).
-    for (auto it = core.fifo.begin(); it != core.fifo.end();) {
+    // Only a flag flip since the last drain can have flagged a queued job.
+    const bool drain = core.flag_requests > 0;
+    core.flag_requests = 0;
+    for (auto it = core.fifo.begin(); drain && it != core.fifo.end();) {
       if ((*it)->cancel.load(std::memory_order_relaxed)) {
         const auto job = *it;
         it = core.fifo.erase(it);
@@ -898,71 +714,36 @@ void SolverService::dispatch_loop() {
       }
     }
 
-    // Reap workers whose jobs are terminal (status is published before the
+    // Reap workers whose job is terminal (status is published before the
     // worker returns, so these joins only wait out the return path).
     std::erase_if(core.workers, [](detail::Worker& worker) {
-      if (worker.jobs.empty()) return false;  // the dispatcher's own entry
-      for (const auto& job : worker.jobs) {
-        if (!detail::terminal(job)) return false;
-      }
+      // The dispatcher's own entry carries no job.
+      if (!worker.job || !detail::terminal(worker.job)) return false;
       if (worker.thread.joinable()) worker.thread.join();
       return true;
     });
 
-    // FIFO admission.  A run of >= 2 fusible jobs at the head is admitted
-    // as ONE fused worker sharing one resident team (one launch for the
-    // whole batch); the scan stops at the first non-fusible job, so FIFO
-    // order is preserved.  Otherwise the head job gets a dedicated worker.
-    // Spawning is part of the contained dispatch path: if the worker cannot
-    // be created (thread exhaustion, bad_alloc) the lease is refunded and
-    // the job(s) resolve kFailed — an exception here would take down the
-    // dispatcher and hang every outstanding handle.
+    // FIFO admission: the head job gets a dedicated worker.  Spawning is
+    // part of the contained dispatch path: if the worker cannot be created
+    // (thread exhaustion, bad_alloc) the lease is refunded and the job
+    // resolves kFailed — an exception here would take down the dispatcher
+    // and hang every outstanding handle.
     if (!core.fifo.empty() && core.free_threads > 0) {
-      std::size_t prefix = 0;
-      while (prefix < core.fifo.size() && prefix < kMaxFusedBatch &&
-             prefix < core.free_threads &&
-             fusible(core.fifo[prefix]->request, per_job_cap_)) {
-        ++prefix;
-      }
-      if (prefix >= 2) {
-        const std::vector<std::shared_ptr<detail::JobState>> batch(
-            core.fifo.begin(),
-            core.fifo.begin() + static_cast<std::ptrdiff_t>(prefix));
-        core.fifo.erase(core.fifo.begin(),
-                        core.fifo.begin() + static_cast<std::ptrdiff_t>(prefix));
-        core.free_threads -= prefix;  // one lease per member
-        core.fused_batches.fetch_add(1, std::memory_order_relaxed);
-        core.fused_jobs.fetch_add(prefix, std::memory_order_relaxed);
-        try {
-          core.workers.push_back(detail::Worker{
-              std::jthread([core = core_, batch] {
-                run_fused_jobs(core, batch);
-              }),
-              batch});
-        } catch (const std::exception& e) {
-          core.free_threads += prefix;
-          for (const auto& job : batch) {
-            detail::finish(job, JobStatus::kFailed, {},
-                           std::string("dispatch failed: ") + e.what());
-          }
-        }
-      } else {
-        const auto job = core.fifo.front();
-        core.fifo.pop_front();
-        const std::size_t leased = std::min(
-            desired_threads(job->request, per_job_cap_), core.free_threads);
-        core.free_threads -= leased;
-        try {
-          core.workers.push_back(detail::Worker{
-              std::jthread([core = core_, job, leased] {
-                run_admitted_job(core, job, leased);
-              }),
-              {job}});
-        } catch (const std::exception& e) {
-          core.free_threads += leased;
-          detail::finish(job, JobStatus::kFailed, {},
-                         std::string("dispatch failed: ") + e.what());
-        }
+      const auto job = core.fifo.front();
+      core.fifo.pop_front();
+      const std::size_t leased = std::min(
+          desired_threads(job->request, per_job_cap_), core.free_threads);
+      core.free_threads -= leased;
+      try {
+        core.workers.push_back(detail::Worker{
+            std::jthread([core = core_, job, leased] {
+              run_admitted_job(core, job, leased);
+            }),
+            job});
+      } catch (const std::exception& e) {
+        core.free_threads += leased;
+        detail::finish(job, JobStatus::kFailed, {},
+                       std::string("dispatch failed: ") + e.what());
       }
     }
   }

@@ -60,9 +60,6 @@ struct ServiceStats {
   std::uint64_t failed = 0;      ///< jobs finished kFailed
   std::uint64_t retried = 0;     ///< retry backoffs entered (kRetrying)
   std::uint64_t degraded = 0;    ///< jobs the watchdog degraded at least once
-  std::uint64_t fused_batches = 0;  ///< fused launches (>= 2 jobs sharing one
-                                    ///< resident team)
-  std::uint64_t fused_jobs = 0;  ///< jobs executed inside fused launches
   std::size_t thread_budget = 0;
   std::size_t free_threads = 0;
 
@@ -212,15 +209,6 @@ class SolverService {
   /// from walker threads while the job's attempts run.  The callback must
   /// be thread-safe and must stay valid until the job is terminal.
   [[nodiscard]] JobHandle submit(SolveRequest request, JobStream stream);
-
-  /// Validate and enqueue a whole batch under one lock (one dispatcher
-  /// wake-up).  All-or-nothing: every request is validated before any is
-  /// enqueued, so a malformed member throws with no sibling submitted.
-  /// Adjacent small members of the batch are natural fusion candidates —
-  /// the dispatcher fuses runs of single-lease jobs at the FIFO head into
-  /// one parallel::FusedRun launch (see ServiceStats::fused_batches).
-  [[nodiscard]] std::vector<JobHandle> submit_batch(
-      std::vector<SolveRequest> requests);
 
   /// Stop accepting submissions, cancel every queued and running job and
   /// join all workers (blocking).  Idempotent; also run by the destructor.

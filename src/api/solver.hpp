@@ -7,8 +7,6 @@
 
 #include <atomic>
 #include <functional>
-#include <span>
-#include <vector>
 
 #include "api/solve.hpp"
 
@@ -46,73 +44,19 @@ class Solver {
   /// Determinism: with no deadline the run is exactly the equivalent
   /// direct WalkerPool::run for the request's master seed.
   [[nodiscard]] static SolveReport solve(const SolveRequest& request) {
-    return solve(request, nullptr);
+    return solve(request, core::StopToken{}, SolveCallbacks{});
   }
 
-  /// Same, with a caller-owned cancellation flag: flip `*cancel` to true
-  /// and the run stops within one engine polling period, reporting the
-  /// best configuration reached (SolveReport::cancelled set).  This is the
-  /// primitive SolverService builds on.
-  [[nodiscard]] static SolveReport solve(const SolveRequest& request,
-                                         const std::atomic<bool>* cancel) {
-    return solve(request, core::StopToken(cancel), nullptr);
-  }
-
-  /// Full-control overload for the serving layer: an arbitrary StopToken
-  /// (the request's deadline_ms is applied on top, tightening any deadline
-  /// the token already carries) and an optional liveness counter bumped by
-  /// every walker (see core::Hooks::heartbeat) for watchdog supervision.
-  /// Validates the retry/warm-start knobs along with the rest of the
-  /// request.
-  [[nodiscard]] static SolveReport solve(
-      const SolveRequest& request, core::StopToken token,
-      std::atomic<std::uint64_t>* heartbeat) {
-    SolveCallbacks callbacks;
-    callbacks.heartbeat = heartbeat;
-    return solve(request, token, callbacks);
-  }
-
-  /// The serving tier's entry point: full StopToken control plus the
-  /// observation channels (watchdog heartbeat, streaming sample sink).
+  /// The serving tier's entry point: an arbitrary StopToken (the request's
+  /// deadline_ms is applied on top, tightening any deadline the token
+  /// already carries; a cancel flag wrapped in the token stops the run
+  /// within one engine polling period, reporting the best configuration
+  /// reached) plus the observation channels (watchdog heartbeat, streaming
+  /// sample sink) and the preemption hand-off.  Validates the
+  /// retry/warm-start knobs along with the rest of the request.
   [[nodiscard]] static SolveReport solve(const SolveRequest& request,
                                          core::StopToken token,
                                          const SolveCallbacks& callbacks);
-
-  /// One member of a fused batch solve: a complete request plus its own
-  /// stop token and observation channels, exactly what the solo overload
-  /// takes.
-  struct FusedSolveJob {
-    SolveRequest request;
-    core::StopToken token;
-    SolveCallbacks callbacks;
-  };
-
-  struct FusedSolveOptions {
-    /// Resident team size shared by the whole batch (0 = hardware
-    /// concurrency, 1 = run the batch inline on the calling thread).
-    std::size_t num_threads = 0;
-    /// Admission gate consulted once per member just before its first
-    /// walker runs (see parallel::FusedOptions::admit); returning false
-    /// withdraws the member without running it.  Null admits everything.
-    std::function<bool(std::size_t member)> admit;
-  };
-
-  /// Per-member completion callback: called exactly once per admitted
-  /// member, from a team thread, while sibling members may still be
-  /// running.  Must be thread-safe.
-  using FusedSolveSink = std::function<void(std::size_t, SolveReport)>;
-
-  /// Batch entry point over parallel::FusedRun: every member is validated
-  /// and instantiated up front (throwing std::invalid_argument before any
-  /// work), then the whole batch executes on one resident thread team —
-  /// one launch instead of N.  Each member's fixed-seed SolveReport is
-  /// byte-identical to its solo solve() (timing fields excepted); each
-  /// member's deadline_ms is applied from the moment the batch launches.
-  /// Blocks until every admitted member's sink has returned; returns the
-  /// indices of withdrawn members in ascending order.
-  static std::vector<std::size_t> solve_fused(
-      std::span<const FusedSolveJob> jobs, const FusedSolveOptions& options,
-      const FusedSolveSink& sink);
 };
 
 }  // namespace cspls::api

@@ -21,7 +21,7 @@
 //      configuration (up to max_restarts times).
 //
 // The engine is deliberately single-threaded and share-nothing; parallelism
-// lives one layer up (parallel/multi_walk.hpp) exactly as in the paper, where
+// lives one layer up (parallel/walker_pool.hpp) exactly as in the paper, where
 // "each process is an independent search engine and there is no communication
 // between the simultaneous computations" except for completion.
 #pragma once
@@ -143,17 +143,8 @@ class AdaptiveSearch {
   /// interrupted run is still a valid anytime result.  A default
   /// (never-firing) token reproduces the historical unstoppable run
   /// byte-for-byte.
-  Result solve(csp::Problem& problem, util::Xoshiro256& rng, StopToken stop,
-               const Hooks& hooks = {}) const;
-
-  /// Legacy entry point (pre-StopToken): a raw first-finisher completion
-  /// flag.  Kept as a wrapper because external callers and tests still pass
-  /// `&stop` / nullptr directly.
   Result solve(csp::Problem& problem, util::Xoshiro256& rng,
-               const std::atomic<bool>* stop = nullptr,
-               const Hooks& hooks = {}) const {
-    return solve(problem, rng, StopToken(stop), hooks);
-  }
+               StopToken stop = {}, const Hooks& hooks = {}) const;
 
   /// Convenience: build an engine with the model's own tuning defaults.
   static AdaptiveSearch with_defaults(const csp::Problem& problem) {

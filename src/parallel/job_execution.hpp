@@ -1,28 +1,23 @@
 // JobExecution — the per-job half of the parallel runtime, factored out of
-// WalkerPool::run so one walker population can execute on *any* thread
-// supply: the pool's own wave scheduler (the solo path), the caller's
-// thread (sequential/emulated scheduling), or a shared resident team fusing
-// many jobs into one launch (parallel/fused.hpp).
-//
-// The class owns everything one run needs — engine, RNG stream factory,
+// WalkerPool::run: everything one run needs — engine, RNG stream factory,
 // communication channels, fault schedule, the report under construction and
-// the shared race state — and exposes exactly the two execution primitives
-// WalkerPool::run was built from:
+// the shared race state — behind the two execution primitives the pool's
+// schedulers are built from:
 //
 //   * run_walker(id)            body of walker `id`; thread-safe across
 //                               distinct ids (walkers share nothing but the
-//                               race flag), so a team may run them
-//                               concurrently under Scheduling::kThreads;
+//                               race flag), so the pool's wave scheduler
+//                               runs them concurrently under
+//                               Scheduling::kThreads;
 //   * run_walkers_one_by_one()  the strictly-ordered path (sequential /
 //                               emulated scheduling and the collapsed
 //                               threaded pool), with the between-walker
 //                               external/race short-circuits.
 //
 // finalize() then applies the termination policy and returns the
-// MultiWalkReport.  Byte-identity invariant: for a fixed master seed every
-// walker's trajectory depends only on (options, prototype, stream id) —
-// never on which thread or team ran it — so a fused member's report is
-// byte-for-byte the solo WalkerPool::run report (timing fields excepted).
+// MultiWalkReport.  For a fixed master seed every walker's trajectory
+// depends only on (options, prototype, stream id), never on which thread
+// ran it.
 #pragma once
 
 #include <atomic>
@@ -53,22 +48,12 @@ class JobExecution {
   JobExecution& operator=(const JobExecution&) = delete;
 
   [[nodiscard]] std::size_t num_walkers() const noexcept { return k_; }
-  [[nodiscard]] bool threaded() const noexcept { return threaded_; }
-  [[nodiscard]] bool race() const noexcept { return race_; }
 
-  /// Thread count the solo pool would use under Scheduling::kThreads: the
-  /// walker count clamped by max_threads and a hardware-derived ceiling.
-  /// 1 when the threaded pool collapses to the ordered path.
+  /// Thread count the pool uses: under Scheduling::kThreads the walker
+  /// count clamped by max_threads and a hardware-derived ceiling; 1 for the
+  /// ordered modes and when the threaded pool collapses to the ordered
+  /// path.
   [[nodiscard]] std::size_t preferred_threads() const noexcept;
-
-  /// True when this job's walkers may execute as independent tasks on a
-  /// shared team: genuinely threaded scheduling (any interleaving is a
-  /// valid schedule of the solo pool).  False for the ordered modes, where
-  /// trajectories under communication depend on the publish/adopt order
-  /// that one-by-one execution defines.
-  [[nodiscard]] bool walkers_independent() const noexcept {
-    return threaded_ && preferred_threads() > 1;
-  }
 
   /// Body of walker `id`: clone, stream(id), hooks, solve, crash
   /// containment.  Callable concurrently for distinct ids.

@@ -109,30 +109,28 @@ MultiWalkReport WalkerPool::run(const csp::Problem& prototype,
                                 const core::StopToken& external) const {
   detail::JobExecution job(prototype, options_, external);
 
-  if (job.threaded()) {
-    const std::size_t num_threads = job.preferred_threads();
-    if (num_threads <= 1) {
-      job.run_walkers_one_by_one();
-    } else {
-      // Wave execution: an atomic ticket dispenser hands walker ids to a
-      // bounded pool of OS threads.
-      const std::size_t k = job.num_walkers();
-      std::atomic<std::size_t> next{0};
-      std::vector<std::jthread> pool;
-      pool.reserve(num_threads);
-      for (std::size_t t = 0; t < num_threads; ++t) {
-        pool.emplace_back([&] {
-          for (;;) {
-            const std::size_t id = next.fetch_add(1, std::memory_order_relaxed);
-            if (id >= k) return;
-            job.run_walker(id);
-          }
-        });
-      }
-      pool.clear();  // join
-    }
-  } else {
+  // Threads only when the pool would use more than one (preferred_threads
+  // is 1 for the ordered modes and for a collapsed threaded pool).
+  const std::size_t num_threads = job.preferred_threads();
+  if (num_threads <= 1) {
     job.run_walkers_one_by_one();
+  } else {
+    // Wave execution: an atomic ticket dispenser hands walker ids to a
+    // bounded pool of OS threads.
+    const std::size_t k = job.num_walkers();
+    std::atomic<std::size_t> next{0};
+    std::vector<std::jthread> pool;
+    pool.reserve(num_threads);
+    for (std::size_t t = 0; t < num_threads; ++t) {
+      pool.emplace_back([&] {
+        for (;;) {
+          const std::size_t id = next.fetch_add(1, std::memory_order_relaxed);
+          if (id >= k) return;
+          job.run_walker(id);
+        }
+      });
+    }
+    pool.clear();  // join
   }
 
   return job.finalize();

@@ -35,10 +35,8 @@
 //     * kBestAfterBudget  every walker runs its full budget; the best final
 //                         cost wins (anytime/optimization regime).
 //
-// Policy combinations reproduce every legacy entry point of multi_walk.hpp
-// byte-for-byte for a fixed master seed: walker i always receives RNG
-// stream i of the master seed and a clone of the prototype, regardless of
-// the policies — so scheduling, communication, termination and tracing can
+// For a fixed master seed, walker i always receives RNG stream i of the
+// master seed and a clone of the prototype, regardless of the policies — so scheduling, communication, termination and tracing can
 // be toggled without perturbing any walker's trajectory (communication
 // hooks excepted, since adoption is *meant* to change trajectories).
 //
@@ -286,8 +284,8 @@ class WalkerPool {
 
 /// Deterministic race replay over completed walks: the winner is the solved
 /// walker with the fewest iterations (the one that would have signalled
-/// completion first on an iteration-synchronous machine).  Shared by
-/// Scheduling::kEmulatedRace and the legacy emulate_first_finisher wrapper.
+/// completion first on an iteration-synchronous machine).  This is how
+/// Scheduling::kEmulatedRace reports; callable on any completed walks.
 [[nodiscard]] MultiWalkReport resolve_emulated_race(
     std::vector<WalkerOutcome> walkers);
 

@@ -125,9 +125,7 @@ util::Json SchedulerStats::to_json() const {
       .set("rejected_overload", rejected_overload)
       .set("givebacks", givebacks)
       .set("batches", batches)
-      .set("batched_jobs", batched_jobs)
-      .set("fused_batches", fused_batches)
-      .set("fused_jobs", fused_jobs);
+      .set("batched_jobs", batched_jobs);
   return json;
 }
 
@@ -280,8 +278,6 @@ SchedulerStats Scheduler::stats() const {
   stats.givebacks = givebacks_;
   stats.batches = batches_;
   stats.batched_jobs = batched_jobs_;
-  stats.fused_batches = fused_batches_;
-  stats.fused_jobs = fused_jobs_;
   return stats;
 }
 
@@ -344,175 +340,6 @@ std::string Scheduler::run_warm(detail::ServeJob& job) {
   return status;
 }
 
-/// Run a claimed warm batch as ONE fused launch (api::Solver::solve_fused
-/// over parallel::FusedRun) instead of back-to-back solo launches.  The
-/// fused admission gate reproduces the legacy loop's per-job checks under
-/// m_, just before each member's first walker runs: shutdown or a client
-/// cancel withdraws the member for a terminal "cancelled" report without
-/// running it, a stronger non-empty lane withdraws it for give-back, and
-/// an admitted member records its start.  Completions are per member and
-/// independent — a finished member reports while siblings still run.
-void Scheduler::run_warm_fused(std::vector<JobPtr>& batch,
-                               std::size_t lane_idx) {
-  enum class Withdraw { kNone, kCancelled, kGiveBack };
-
-  // Per-member dispatch-fault probe, the same failure model as run_warm: a
-  // member whose probe fires finalizes "failed" right here and never joins
-  // the launch; siblings are unaffected.
-  std::vector<JobPtr> members;
-  std::vector<api::Solver::FusedSolveJob> fused;
-  members.reserve(batch.size());
-  fused.reserve(batch.size());
-  for (const JobPtr& job : batch) {
-    std::string probe_error;
-    try {
-      const util::fault::Schedule schedule =
-          util::fault::kCompiledIn
-              ? util::fault::Schedule::with_env(job->command.request.faults)
-              : util::fault::Schedule{};
-      util::fault::Session dispatch_faults(&schedule,
-                                           util::fault::kAnyWalker);
-      if (util::fault::probe(&dispatch_faults,
-                             util::fault::Site::kServiceDispatch) ==
-          util::fault::Action::kCorrupt) {
-        throw std::runtime_error("injected fault: corrupt service_dispatch");
-      }
-    } catch (const std::exception& ex) {
-      probe_error = ex.what();
-      if (probe_error.empty()) probe_error = "dispatch probe failed";
-    }
-    if (!probe_error.empty()) {
-      api::SolveReport report;
-      report.problem = job->command.request.problem;
-      job->emit_report(kFailed, report, probe_error);
-      std::lock_guard lock(m_);
-      jobs_.erase(job->id);
-      --warm_active_;
-      ++failed_;
-      continue;
-    }
-
-    api::Solver::FusedSolveJob member;
-    member.request = job->command.request;
-    member.token = core::StopToken(&job->cancel);
-    if (job->command.stream && job->command.sample_period != 0) {
-      const JobPtr sink = job;
-      member.callbacks.sample_sink = [sink](std::size_t walker,
-                                            std::uint64_t iteration,
-                                            csp::Cost cost) {
-        sink->offer_sample(walker, iteration, cost);
-      };
-      member.callbacks.sample_period = job->command.sample_period;
-    }
-    members.push_back(job);
-    fused.push_back(std::move(member));
-  }
-  if (members.empty()) return;
-
-  std::vector<Withdraw> withdraw(members.size(), Withdraw::kNone);
-
-  api::Solver::FusedSolveOptions options;
-  options.num_threads =
-      options_.warm_fused_threads != 0
-          ? options_.warm_fused_threads
-          : std::max<std::size_t>(
-                1, std::thread::hardware_concurrency() /
-                       std::max<std::size_t>(1, options_.warm_workers));
-  options.admit = [&](std::size_t index) {
-    std::lock_guard lock(m_);
-    const JobPtr& job = members[index];
-    if (stopping_ || job->cancel.load(std::memory_order_relaxed)) {
-      withdraw[index] = Withdraw::kCancelled;
-      return false;
-    }
-    for (std::size_t stronger = 0; stronger < lane_idx; ++stronger) {
-      if (!warm_lanes_[stronger].empty()) {
-        withdraw[index] = Withdraw::kGiveBack;
-        return false;
-      }
-    }
-    if (!job->started_recorded) {
-      job->started_recorded = true;
-      started_order_.push_back(job->id);
-    }
-    return true;
-  };
-
-  {
-    std::lock_guard lock(m_);
-    ++fused_batches_;
-    fused_jobs_ += members.size();
-  }
-
-  try {
-    (void)api::Solver::solve_fused(
-        fused, options, [&](std::size_t index, api::SolveReport report) {
-          const JobPtr& job = members[index];
-          const std::string_view status =
-              report.cancelled ? kCancelled : kDone;
-          job->emit_report(status, report, {});
-          std::lock_guard lock(m_);
-          jobs_.erase(job->id);
-          --warm_active_;
-          if (report.cancelled) {
-            ++cancelled_;
-          } else {
-            ++completed_;
-          }
-        });
-  } catch (const std::exception& ex) {
-    // The launch itself failed.  Members were validated at submission, so
-    // this is exceptional — fail every member the sink never reached
-    // (withdrawn ones are finalized below with their real disposition).
-    std::vector<JobPtr> broken;
-    {
-      std::lock_guard lock(m_);
-      for (std::size_t i = 0; i < members.size(); ++i) {
-        if (withdraw[i] != Withdraw::kNone) continue;
-        if (jobs_.erase(members[i]->id) == 0) continue;  // sink already ran
-        --warm_active_;
-        ++failed_;
-        broken.push_back(members[i]);
-      }
-    }
-    for (const JobPtr& job : broken) {
-      api::SolveReport report;
-      report.problem = job->command.request.problem;
-      job->emit_report(kFailed, report, ex.what());
-    }
-  }
-
-  // Withdrawn members: give-backs return to the front of their lane in
-  // FIFO order for a fresh claim after the stronger work; shutdown/cancel
-  // withdrawals finalize with a terminal cancel event — they never ran.
-  std::vector<JobPtr> requeue;
-  std::vector<JobPtr> cut;
-  {
-    std::lock_guard lock(m_);
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (withdraw[i] == Withdraw::kGiveBack) {
-        requeue.push_back(members[i]);
-      } else if (withdraw[i] == Withdraw::kCancelled) {
-        cut.push_back(members[i]);
-      }
-    }
-    for (auto rit = requeue.rbegin(); rit != requeue.rend(); ++rit) {
-      warm_lanes_[lane_idx].push_front(*rit);
-    }
-    givebacks_ += requeue.size();
-    warm_active_ -= requeue.size();
-    for (const JobPtr& job : cut) {
-      jobs_.erase(job->id);
-      --warm_active_;
-      ++cancelled_;
-    }
-    if (!requeue.empty()) warm_cv_.notify_one();
-  }
-  for (const JobPtr& job : cut) {
-    job->emit_report(kCancelled, cancelled_report(*job), {});
-  }
-}
-
 void Scheduler::warm_loop() {
   std::vector<JobPtr> batch;
   for (;;) {
@@ -529,12 +356,6 @@ void Scheduler::warm_loop() {
       warm_active_ += take;
       ++batches_;
       batched_jobs_ += take;
-    }
-
-    if (options_.fuse_warm_batches && batch.size() >= 2) {
-      run_warm_fused(batch, lane_idx);
-      batch.clear();
-      continue;
     }
 
     for (std::size_t i = 0; i < batch.size(); ++i) {

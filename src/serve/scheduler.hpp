@@ -2,20 +2,15 @@
 // two execution paths, chosen per job by its thread-lease estimate.
 //
 // Warm path (lease <= warm_lease_threshold): a fixed pool of warm worker
-// threads claims *batches* of small jobs off the strongest non-empty lane.
-// A claimed batch of two or more jobs runs as ONE fused launch
-// (api::Solver::solve_fused over parallel::FusedRun): one resident team
-// executes every member's walkers, one spawn/join per batch instead of one
-// per job, with each member's fixed-seed report byte-identical to its solo
-// run — a thousand one-walker solves cost `warm_workers` long-lived
-// threads plus one team per batch, not a thousand service workers.
-// Preemption stays cooperative give-back: the fused admission gate
-// re-checks the stronger lanes just before each member's first walker
-// runs, and withdraws still-unstarted members back to the front of their
-// lane when one filled up.  Shutdown (or a client cancel) reaching a
-// claimed-but-unstarted member withdraws it the same way and finalizes it
-// with a terminal "cancelled" event — it never runs and never records a
-// start.
+// threads claims *batches* of small jobs off the strongest non-empty lane
+// and runs them one after another in-thread, each through
+// api::Solver::solve — a thousand one-walker solves cost `warm_workers`
+// long-lived threads, not a thousand service workers.  Preemption is
+// cooperative give-back: before each job of the batch starts, the worker
+// re-checks the stronger lanes and returns the still-unstarted tail to the
+// front of its lane when one filled up.  Shutdown (or a client cancel)
+// reaching a claimed-but-unstarted job finalizes it with a terminal
+// "cancelled" event — it never runs and never records a start.
 //
 // Service path (bigger leases): jobs flow through an api::SolverService —
 // inheriting its thread budget, retry/backoff self-healing and watchdog —
@@ -85,17 +80,6 @@ struct SchedulerOptions {
   std::size_t warm_lease_threshold = 1;
   /// Most jobs a warm worker claims per lane visit.
   std::size_t warm_batch_max = 8;
-  /// Run claimed batches of >= 2 jobs as one fused launch (see header
-  /// comment).  false = the legacy back-to-back per-job loop, kept as the
-  /// unfused baseline for benchmarking.
-  bool fuse_warm_batches = true;
-  /// Resident team size for each warm worker's fused launches.  1
-  /// (default) runs the batch inline on the claiming worker thread,
-  /// preserving deterministic intra-batch start order; > 1 runs members
-  /// concurrently on that many threads (start order becomes
-  /// scheduling-dependent); 0 = auto, hardware threads / warm_workers
-  /// (at least 1).
-  std::size_t warm_fused_threads = 1;
   /// Most service-path jobs submitted into the SolverService at once; the
   /// rest wait in lanes where priority order (and preemption) applies.
   std::size_t service_inflight = 4;
@@ -157,8 +141,7 @@ struct SchedulerStats {
   std::uint64_t givebacks = 0;      ///< warm jobs returned unstarted
   std::uint64_t batches = 0;        ///< warm batch claims
   std::uint64_t batched_jobs = 0;   ///< warm jobs claimed across batches
-  std::uint64_t fused_batches = 0;  ///< warm batches run as one fused launch
-  std::uint64_t fused_jobs = 0;     ///< jobs entering those fused launches
+  std::uint64_t fused_jobs = 0;  ///< always 0; the perfbench harness reads it
 
   [[nodiscard]] util::Json to_json() const;
   [[nodiscard]] bool operator==(const SchedulerStats&) const = default;
@@ -220,7 +203,6 @@ class Scheduler {
   void warm_loop();
   void dispatch_loop();
   std::string run_warm(detail::ServeJob& job);
-  void run_warm_fused(std::vector<JobPtr>& batch, std::size_t lane_idx);
   [[nodiscard]] bool warm_lanes_empty() const;  ///< caller holds m_
   void finalize(const Finalization& f);
 
@@ -263,8 +245,6 @@ class Scheduler {
   std::array<std::size_t, kNumLanes> admitting_{};
   std::uint64_t batches_ = 0;
   std::uint64_t batched_jobs_ = 0;
-  std::uint64_t fused_batches_ = 0;
-  std::uint64_t fused_jobs_ = 0;
 
   std::vector<std::thread> warm_threads_;
   std::thread dispatcher_;

@@ -337,24 +337,22 @@ TEST(SelfHealingJson, FailureDetailsRoundTripThroughTheReport) {
   EXPECT_EQ(decoded.to_json_string(), encoded);
 }
 
-TEST(SelfHealing, FusedMemberDispatchCrashFailsOnlyThatJob) {
+TEST(SelfHealing, DispatchCrashFailsOnlyTheJobCarryingThePlan) {
   if (!util::fault::kCompiledIn) {
     GTEST_SKIP() << "build without CSPLS_FAULT_INJECTION";
   }
-  // The fused path keeps the solo path's failure model: each member gets
-  // its own service_dispatch probe, so an injected dispatch crash fails
-  // exactly the member that carries the plan while its fused siblings
-  // solve normally.
+  // Each job gets its own service_dispatch probe, so an injected dispatch
+  // crash fails exactly the single-lease job that carries the plan while
+  // its neighbours solve normally.
   SolverService service(SolverService::Options{4, 0});
-  std::vector<SolveRequest> batch;
+  std::vector<JobHandle> jobs;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     SolveRequest request = quick_request(seed);
-    request.scheduling = parallel::Scheduling::kSequential;  // fusible
-    batch.push_back(request);
+    request.scheduling = parallel::Scheduling::kSequential;  // one lease
+    if (seed == 2) request.faults = {dispatch_crash(1)};
+    jobs.push_back(service.submit(request));
   }
-  batch[1].faults = {dispatch_crash(1)};
 
-  const std::vector<JobHandle> jobs = service.submit_batch(batch);
   ASSERT_TRUE(jobs[1].wait_for(milliseconds(30'000)));
   EXPECT_EQ(jobs[1].status(), JobStatus::kFailed);
   EXPECT_NE(jobs[1].error().find("injected fault"), std::string::npos);
@@ -367,8 +365,6 @@ TEST(SelfHealing, FusedMemberDispatchCrashFailsOnlyThatJob) {
   }
 
   const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.fused_batches, 1u);
-  EXPECT_EQ(stats.fused_jobs, 3u);
   EXPECT_EQ(stats.failed, 1u);
   EXPECT_EQ(stats.completed, 2u);
 }

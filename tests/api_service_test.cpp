@@ -398,9 +398,8 @@ TEST(SolverService, StreamedSamplesArriveWhileMultiplexingWithWaitFor) {
   }
 }
 
-SolveRequest fusible_request(std::uint64_t seed) {
-  // Single-lease (sequential), no retry, no watchdog: exactly what the
-  // dispatcher's fusion scan admits into one fused launch.
+SolveRequest single_lease_request(std::uint64_t seed) {
+  // Sequential scheduling: the job leases exactly one budget slot.
   SolveRequest request;
   request.problem = "costas:9";
   request.walkers = 2;
@@ -410,101 +409,62 @@ SolveRequest fusible_request(std::uint64_t seed) {
   return request;
 }
 
-TEST(SolverService, SubmitBatchFusesSmallJobsWithSoloIdenticalReports) {
+TEST(SolverService, SingleLeaseJobsReportByteIdenticallyToSoloSolves) {
   SolverService service(SolverService::Options{4, 0});
-  std::vector<SolveRequest> batch;
+  std::vector<SolveRequest> requests;
+  std::vector<JobHandle> jobs;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    batch.push_back(fusible_request(seed));
+    requests.push_back(single_lease_request(seed));
+    jobs.push_back(service.submit(requests.back()));
   }
-  const std::vector<JobHandle> jobs = service.submit_batch(batch);
-  ASSERT_EQ(jobs.size(), batch.size());
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const SolveReport& fused = jobs[i].wait();
+    const SolveReport& served = jobs[i].wait();
     EXPECT_EQ(jobs[i].status(), JobStatus::kDone);
-    EXPECT_EQ(fused.attempts, 1u);
+    EXPECT_EQ(served.attempts, 1u);
     // Trajectory-identical to the same request solved directly.
-    const SolveReport solo = Solver::solve(batch[i]);
-    EXPECT_EQ(fused.solved, solo.solved);
-    EXPECT_EQ(fused.winner, solo.winner);
-    EXPECT_EQ(fused.cost, solo.cost);
-    EXPECT_EQ(fused.solution, solo.solution);
-    EXPECT_EQ(fused.total_iterations, solo.total_iterations);
+    const SolveReport solo = Solver::solve(requests[i]);
+    EXPECT_EQ(served.solved, solo.solved);
+    EXPECT_EQ(served.winner, solo.winner);
+    EXPECT_EQ(served.cost, solo.cost);
+    EXPECT_EQ(served.solution, solo.solution);
+    EXPECT_EQ(served.total_iterations, solo.total_iterations);
+    ASSERT_EQ(served.walkers.size(), solo.walkers.size());
+    for (std::size_t w = 0; w < solo.walkers.size(); ++w) {
+      EXPECT_EQ(served.walkers[w].iterations, solo.walkers[w].iterations);
+      EXPECT_EQ(served.walkers[w].cost, solo.walkers[w].cost);
+    }
   }
 
-  // The whole batch was enqueued under one lock with the budget free, so
-  // the dispatcher saw all four at the FIFO head and fused them as one.
   const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.fused_batches, 1u);
-  EXPECT_EQ(stats.fused_jobs, 4u);
   EXPECT_EQ(stats.completed, 4u);
   EXPECT_EQ(stats.submitted, 4u);
-  const util::Json json = stats.to_json();
-  EXPECT_EQ(json.at("fused_batches").as_uint64(), 1u);
-  EXPECT_EQ(json.at("fused_jobs").as_uint64(), 4u);
 }
 
-TEST(SolverService, SubmitBatchValidationIsAllOrNothing) {
-  SolverService service(SolverService::Options{2, 0});
-  std::vector<SolveRequest> batch;
-  batch.push_back(fusible_request(1));
-  batch.push_back(fusible_request(2));
-  batch[1].problem = "no-such-problem:9";
-  EXPECT_THROW((void)service.submit_batch(batch), std::invalid_argument);
-  EXPECT_EQ(service.stats().submitted, 0u);
-  EXPECT_EQ(service.pending_jobs(), 0u);
-
-  service.shutdown();
-  batch[1] = fusible_request(2);
-  EXPECT_THROW((void)service.submit_batch(batch), std::runtime_error);
-}
-
-TEST(SolverService, NonFusibleJobsStayOnTheSoloPath) {
-  // Multi-thread leases never fuse: the scan stops at the first job whose
-  // desired lease exceeds one, so kThreads jobs keep their solo workers.
+TEST(SolverService, CancelCutsOneSingleLeaseJobAndSparesItsNeighbours) {
+  // Each job's cancel flag is its own stop token: cancelling one running
+  // single-lease job reports it cancelled while its neighbours run to
+  // completion.
   SolverService service(SolverService::Options{4, 0});
-  std::vector<SolveRequest> batch;
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    batch.push_back(quick_request(seed));  // kThreads, walkers = 2
-  }
-  const std::vector<JobHandle> jobs = service.submit_batch(batch);
-  for (const JobHandle& job : jobs) {
-    EXPECT_TRUE(job.wait().solved);
-  }
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.fused_batches, 0u);
-  EXPECT_EQ(stats.fused_jobs, 0u);
-  EXPECT_EQ(stats.completed, 3u);
-}
-
-TEST(SolverService, CancelCutsAFusedMemberAndSparesItsSiblings) {
-  // A fused member's cancel flag is its own stop token: cancelling one
-  // member of a fused launch reports that member cancelled while siblings
-  // run to completion.
-  SolverService service(SolverService::Options{4, 0});
-  std::vector<SolveRequest> batch;
-  batch.push_back(fusible_request(1));
   SolveRequest endless = endless_request(2);
   endless.scheduling = parallel::Scheduling::kSequential;
   endless.walkers = 1;
-  batch.push_back(endless);
-  batch.push_back(fusible_request(3));
+  const JobHandle first = service.submit(single_lease_request(1));
+  const JobHandle middle = service.submit(endless);
+  const JobHandle last = service.submit(single_lease_request(3));
 
-  const std::vector<JobHandle> jobs = service.submit_batch(batch);
-  ASSERT_TRUE(jobs[0].wait_for(milliseconds(30'000)));
-  ASSERT_TRUE(jobs[2].wait_for(milliseconds(30'000)));
-  EXPECT_TRUE(jobs[0].report().solved);
-  EXPECT_TRUE(jobs[2].report().solved);
-  EXPECT_FALSE(jobs[1].wait_for(milliseconds(0)));  // still walking
+  ASSERT_TRUE(first.wait_for(milliseconds(30'000)));
+  ASSERT_TRUE(last.wait_for(milliseconds(30'000)));
+  EXPECT_TRUE(first.report().solved);
+  EXPECT_TRUE(last.report().solved);
+  EXPECT_FALSE(middle.wait_for(milliseconds(0)));  // still walking
 
-  EXPECT_TRUE(jobs[1].cancel());
-  ASSERT_TRUE(jobs[1].wait_for(milliseconds(30'000)));
-  EXPECT_EQ(jobs[1].status(), JobStatus::kCancelled);
-  EXPECT_TRUE(jobs[1].report().cancelled);
+  EXPECT_TRUE(middle.cancel());
+  ASSERT_TRUE(middle.wait_for(milliseconds(30'000)));
+  EXPECT_EQ(middle.status(), JobStatus::kCancelled);
+  EXPECT_TRUE(middle.report().cancelled);
 
   const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.fused_batches, 1u);
-  EXPECT_EQ(stats.fused_jobs, 3u);
   EXPECT_EQ(stats.completed, 2u);
   EXPECT_EQ(stats.cancelled, 1u);
 }

@@ -493,7 +493,8 @@ TEST(SolverCancel, HonoredUnderAllSchedulingPolicies) {
       cancel.store(true);
     });
     util::Stopwatch watch;
-    const SolveReport report = Solver::solve(request, &cancel);
+    const SolveReport report =
+        Solver::solve(request, core::StopToken(&cancel), {});
     canceller.join();
     EXPECT_TRUE(report.cancelled) << name_of(scheduling);
     EXPECT_FALSE(report.deadline_expired) << name_of(scheduling);
@@ -589,7 +590,8 @@ TEST(SolverCancel, PreRaisedFlagStopsImmediately) {
   SolveRequest request =
       unsolvable_request(parallel::Scheduling::kSequential);
   util::Stopwatch watch;
-  const SolveReport report = Solver::solve(request, &cancel);
+  const SolveReport report =
+      Solver::solve(request, core::StopToken(&cancel), {});
   EXPECT_TRUE(report.cancelled);
   EXPECT_FALSE(report.deadline_expired);
   EXPECT_FALSE(report.solved);

@@ -87,7 +87,7 @@ TEST(AdaptiveSearch, PresetStopFlagInterruptsBeforeWork) {
   const AdaptiveSearch engine(quick_params(costas));
   util::Xoshiro256 rng(4);
   std::atomic<bool> stop{true};
-  const Result result = engine.solve(costas, rng, &stop);
+  const Result result = engine.solve(costas, rng, StopToken(&stop));
   EXPECT_TRUE(result.interrupted);
   EXPECT_FALSE(result.solved);
   EXPECT_EQ(result.stats.iterations, 0u);
@@ -177,7 +177,7 @@ TEST(AdaptiveSearch, ObserverFiresAtRequestedPeriod) {
     EXPECT_GE(cost, 0);
     EXPECT_EQ(values.size(), costas.num_variables());
   };
-  const Result result = engine.solve(costas, rng, nullptr, hooks);
+  const Result result = engine.solve(costas, rng, {}, hooks);
   EXPECT_EQ(calls, result.stats.iterations / 100);
 }
 
@@ -204,7 +204,7 @@ TEST(AdaptiveSearch, OnResetHookCanAdoptConfiguration) {
     problem.assign(plant);
     return true;
   };
-  const Result result = engine.solve(costas, rng, nullptr, hooks);
+  const Result result = engine.solve(costas, rng, {}, hooks);
   (void)result;
   EXPECT_GT(adoptions, 0u);
 }

@@ -76,13 +76,13 @@ TEST(StopToken, FutureDeadlineFiresWithinTheStride) {
   EXPECT_TRUE(token.deadline_expired());
 }
 
-TEST(StopTokenEngine, EmptyTokenMatchesLegacyNullptrRun) {
+TEST(StopTokenEngine, EmptyTokenMatchesNullFlagToken) {
   problems::Costas costas(9);
   const AdaptiveSearch engine = AdaptiveSearch::with_defaults(costas);
 
   auto a = costas.clone();
   util::Xoshiro256 rng_a(123);
-  const Result legacy = engine.solve(*a, rng_a);  // atomic* overload, nullptr
+  const Result legacy = engine.solve(*a, rng_a, StopToken(nullptr));
 
   auto b = costas.clone();
   util::Xoshiro256 rng_b(123);

@@ -12,13 +12,11 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "parallel/fused.hpp"
 #include "problems/costas.hpp"
 #include "util/fault.hpp"
 
@@ -321,64 +319,6 @@ TEST(CrashContainment, ThreadedAllCrashPoolNeverTerminatesTheProcess) {
   for (const WalkerOutcome& walker : report.walkers) {
     EXPECT_EQ(walker.result.error, "synthetic walker crash");
     EXPECT_EQ(walker.result.stop_cause, core::StopCause::kFailed);
-  }
-}
-
-TEST(CrashContainment, FusedBatchContainsACrashingMemberSiblingsUnaffected) {
-  // One member's cost model throws mid-walk inside a fused launch: that
-  // member fails exactly as it would solo, and its sibling members' reports
-  // stay byte-identical to their own solo runs — the crash never escapes
-  // the member that owns it.
-  const problems::Costas left(9);
-  const problems::Costas right(10);
-  const CrashingProblem crasher(std::make_unique<problems::Costas>(9),
-                                /*crash_clone=*/1, /*crash_after_swaps=*/5);
-
-  std::vector<FusedJob> jobs;
-  jobs.push_back(
-      {&left, budget_options(Scheduling::kSequential, 2, 31), {}});
-  jobs.push_back(
-      {&crasher, budget_options(Scheduling::kSequential, 3, 21), {}});
-  jobs.push_back(
-      {&right, budget_options(Scheduling::kEmulatedRace, 2, 8), {}});
-
-  std::mutex m;
-  std::vector<std::unique_ptr<MultiWalkReport>> reports(jobs.size());
-  const auto withdrawn =
-      FusedRun(FusedOptions{.num_threads = 2})
-          .run(jobs, [&](std::size_t member, MultiWalkReport report) {
-            const std::lock_guard lock(m);
-            reports[member] =
-                std::make_unique<MultiWalkReport>(std::move(report));
-          });
-  EXPECT_TRUE(withdrawn.empty());
-  for (const auto& report : reports) ASSERT_NE(report, nullptr);
-
-  // The crashing member matches its own solo run, fault and all.  (A fresh
-  // wrapper: the clone-order counter is shared per instance, and the fused
-  // run already consumed this one's first clones.)
-  const CrashingProblem solo_crasher(std::make_unique<problems::Costas>(9),
-                                     /*crash_clone=*/1,
-                                     /*crash_after_swaps=*/5);
-  const MultiWalkReport solo = WalkerPool(jobs[1].options).run(solo_crasher);
-  EXPECT_EQ(reports[1]->failed_walkers, 1u);
-  ASSERT_EQ(reports[1]->walkers.size(), 3u);
-  EXPECT_TRUE(reports[1]->walkers[1].failed());
-  EXPECT_EQ(reports[1]->walkers[1].result.error, "synthetic walker crash");
-  for (std::size_t w = 0; w < solo.walkers.size(); ++w) {
-    expect_same_walk(reports[1]->walkers[w], solo.walkers[w]);
-  }
-
-  // Siblings are untouched: byte-identical to their solo runs.
-  const MultiWalkReport solo_left = WalkerPool(jobs[0].options).run(left);
-  EXPECT_EQ(reports[0]->failed_walkers, 0u);
-  for (std::size_t w = 0; w < solo_left.walkers.size(); ++w) {
-    expect_same_walk(reports[0]->walkers[w], solo_left.walkers[w]);
-  }
-  const MultiWalkReport solo_right = WalkerPool(jobs[2].options).run(right);
-  EXPECT_EQ(reports[2]->failed_walkers, 0u);
-  for (std::size_t w = 0; w < solo_right.walkers.size(); ++w) {
-    expect_same_walk(reports[2]->walkers[w], solo_right.walkers[w]);
   }
 }
 

@@ -370,15 +370,14 @@ TEST(ServeScheduler, CancelSemanticsAndStatsCounters) {
   EXPECT_EQ(json.at("queued_high").as_uint64(), 0u);
 }
 
-TEST(ServeScheduler, FusedBatchCountersTrackFusedLaunches) {
+TEST(ServeScheduler, WarmBatchCountersTrackClaims) {
   SchedulerOptions options;
   options.warm_workers = 1;
   Scheduler scheduler(options);
   Recorder recorder;
 
   // Fill the lane while the single worker is pinned, so the next claim is
-  // one batch of four — which the default configuration runs as one fused
-  // launch.
+  // one batch of four, run job after job on the worker thread.
   const std::uint64_t blocker =
       scheduler.submit(endless(Priority::kNormal, 1), recorder.events());
   ASSERT_TRUE(eventually([&] { return started(scheduler, blocker); }));
@@ -393,23 +392,29 @@ TEST(ServeScheduler, FusedBatchCountersTrackFusedLaunches) {
   for (const std::uint64_t id : ids) {
     EXPECT_EQ(recorder.status_of(id), "done");
   }
+  // The batch runs in claim order.
+  std::vector<std::uint64_t> expected_order{blocker};
+  expected_order.insert(expected_order.end(), ids.begin(), ids.end());
+  EXPECT_EQ(scheduler.started_order(), expected_order);
   const SchedulerStats stats = scheduler.stats();
-  EXPECT_EQ(stats.fused_batches, 1u);
-  EXPECT_EQ(stats.fused_jobs, 4u);
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.batched_jobs, 5u);
   EXPECT_EQ(stats.completed, 4u);
+  EXPECT_EQ(stats.cancelled, 1u);
+  EXPECT_EQ(stats.fused_jobs, 0u);
   const util::Json json = stats.to_json();
-  EXPECT_EQ(json.at("fused_batches").as_uint64(), 1u);
-  EXPECT_EQ(json.at("fused_jobs").as_uint64(), 4u);
+  EXPECT_EQ(json.at("batches").as_uint64(), 2u);
+  EXPECT_EQ(json.at("batched_jobs").as_uint64(), 5u);
+  EXPECT_FALSE(json.contains("fused_jobs"));
 }
 
-/// Shutdown racing a claimed warm batch: the member already running stops
-/// and reports "cancelled"; claimed-but-unstarted members get a terminal
-/// cancel event WITHOUT running — no start record, no walker start-up.
-void shutdown_while_batch_claimed(bool fuse) {
+/// Shutdown racing a claimed warm batch: the job already running stops and
+/// reports "cancelled"; claimed-but-unstarted jobs get a terminal cancel
+/// event WITHOUT running — no start record, no walker start-up.
+TEST(ServeScheduler, ShutdownWhileBatchClaimedCancelsUnstartedWithoutRunning) {
   SchedulerOptions options;
   options.warm_workers = 1;
   options.warm_batch_max = 8;
-  options.fuse_warm_batches = fuse;
   Scheduler scheduler(options);
   Recorder recorder;
 
@@ -438,15 +443,6 @@ void shutdown_while_batch_claimed(bool fuse) {
   const std::vector<std::uint64_t> order = scheduler.started_order();
   EXPECT_EQ(order, (std::vector<std::uint64_t>{blocker0, blocker1}));
   EXPECT_EQ(scheduler.stats().cancelled, 4u);
-}
-
-TEST(ServeScheduler, ShutdownWhileBatchClaimedCancelsUnstartedWithoutRunning) {
-  shutdown_while_batch_claimed(/*fuse=*/true);
-}
-
-TEST(ServeScheduler,
-     ShutdownWhileBatchClaimedCancelsUnstartedWithoutRunningUnfused) {
-  shutdown_while_batch_claimed(/*fuse=*/false);
 }
 
 TEST(ServeScheduler, AnInvalidRequestIsRejectedAtSubmission) {
