@@ -1,45 +1,44 @@
-// Independent multi-walk engine tests: first-finisher protocol, stream
-// seeding, determinism of the sequential paths, elite-pool semantics.
-#include "parallel/multi_walk.hpp"
+// Multi-walk race tests on WalkerPool: the first-finisher protocol,
+// thread capping, best-effort reporting on unsolvable instances, shared-elite
+// communication, stream seeding, determinism and prefix stability of the
+// sequential paths, emulated-race winner selection, and ElitePool slot
+// semantics.
+#include "parallel/walker_pool.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 
 #include "parallel/elite_pool.hpp"
 #include "problems/costas.hpp"
 #include "problems/langford.hpp"
-#include "problems/registry.hpp"
-#include "util/rng.hpp"
 
 namespace cspls::parallel {
 namespace {
 
-TEST(MultiWalkSolver, SolvesAndWinnerIsWellFormed) {
-  problems::Costas costas(10);
-  MultiWalkOptions options;
-  options.num_walkers = 4;
-  options.master_seed = 1;
-  const MultiWalkSolver solver(options);
-  const MultiWalkReport report = solver.solve(costas);
-  ASSERT_TRUE(report.solved);
-  ASSERT_LT(report.winner, 4u);
-  EXPECT_TRUE(report.best.solved);
-  EXPECT_EQ(report.best.cost, 0);
-  EXPECT_TRUE(costas.verify(report.best.solution));
-  EXPECT_EQ(report.walkers.size(), 4u);
-  EXPECT_GT(report.total_iterations(), 0u);
-  EXPECT_GE(report.wall_seconds, report.time_to_solution_seconds);
+WalkerPoolOptions sequential_options(std::size_t num_walkers,
+                                     std::uint64_t master_seed) {
+  WalkerPoolOptions pool;
+  pool.num_walkers = num_walkers;
+  pool.master_seed = master_seed;
+  pool.scheduling = Scheduling::kSequential;
+  pool.termination = Termination::kBestAfterBudget;
+  return pool;
 }
 
-TEST(MultiWalkSolver, EveryWalkerEitherFinishedOrWasInterrupted) {
+/// The paper's racing configuration: real threads, independent walkers,
+/// first-finisher termination (the WalkerPoolOptions defaults).
+WalkerPoolOptions race_options(std::size_t num_walkers,
+                               std::uint64_t master_seed) {
+  WalkerPoolOptions pool;
+  pool.num_walkers = num_walkers;
+  pool.master_seed = master_seed;
+  return pool;
+}
+
+TEST(WalkerPool, EveryRacingWalkerEitherFinishedOrWasInterrupted) {
   problems::Costas costas(11);
-  MultiWalkOptions options;
-  options.num_walkers = 6;
-  options.master_seed = 2;
-  const MultiWalkSolver solver(options);
-  const MultiWalkReport report = solver.solve(costas);
+  const auto report = WalkerPool(race_options(6, 2)).run(costas);
   ASSERT_TRUE(report.solved);
   for (const auto& w : report.walkers) {
     EXPECT_TRUE(w.result.solved || w.result.interrupted)
@@ -49,42 +48,32 @@ TEST(MultiWalkSolver, EveryWalkerEitherFinishedOrWasInterrupted) {
   EXPECT_FALSE(report.walkers[report.winner].result.interrupted);
 }
 
-TEST(MultiWalkSolver, SingleWalkerDegeneratesToSequential) {
+TEST(WalkerPool, SingleWalkerRaceDegeneratesToSequential) {
   problems::Costas costas(9);
-  MultiWalkOptions options;
-  options.num_walkers = 1;
-  options.master_seed = 3;
-  const MultiWalkSolver solver(options);
-  const MultiWalkReport report = solver.solve(costas);
+  const auto report = WalkerPool(race_options(1, 3)).run(costas);
   ASSERT_TRUE(report.solved);
   EXPECT_EQ(report.winner, 0u);
 }
 
-TEST(MultiWalkSolver, ThreadCapStillCompletesAllWalkers) {
+TEST(WalkerPool, ThreadCapStillCompletesAllWalkers) {
   problems::Costas costas(9);
-  MultiWalkOptions options;
-  options.num_walkers = 8;
-  options.master_seed = 4;
-  options.max_threads = 2;
-  const MultiWalkSolver solver(options);
-  const MultiWalkReport report = solver.solve(costas);
+  WalkerPoolOptions pool = race_options(8, 4);
+  pool.max_threads = 2;
+  const auto report = WalkerPool(pool).run(costas);
   ASSERT_TRUE(report.solved);
   EXPECT_EQ(report.walkers.size(), 8u);
 }
 
-TEST(MultiWalkSolver, UnsolvableInstanceReportsBestEffort) {
-  // L(2,5) has no solution (n must be ≡ 0 or 3 mod 4).
+TEST(WalkerPool, UnsolvableInstanceReportsBestEffort) {
+  // L(2,5) has no solution (n must be = 0 or 3 mod 4).
   problems::Langford langford(5);
-  MultiWalkOptions options;
-  options.num_walkers = 3;
-  options.master_seed = 5;
+  WalkerPoolOptions pool = race_options(3, 5);
   core::Params params =
       core::Params::from_hints(langford.tuning(), langford.num_variables());
   params.restart_limit = 2'000;
   params.max_restarts = 2;
-  options.params = params;
-  const MultiWalkSolver solver(options);
-  const MultiWalkReport report = solver.solve(langford);
+  pool.params = params;
+  const auto report = WalkerPool(pool).run(langford);
   EXPECT_FALSE(report.solved);
   EXPECT_EQ(report.winner, kNoWinner);
   EXPECT_FALSE(report.has_winner());
@@ -92,20 +81,35 @@ TEST(MultiWalkSolver, UnsolvableInstanceReportsBestEffort) {
   EXPECT_FALSE(report.best.solution.empty());
 }
 
-TEST(RunIndependentWalks, DeterministicPerStream) {
+TEST(WalkerPool, SharedEliteRaceSolves) {
+  // The paper's future-work prototype: periodic elite exchange through one
+  // shared slot, with first-finisher termination.
   problems::Costas costas(10);
-  const auto a = run_independent_walks(costas, 5, 42);
-  const auto b = run_independent_walks(costas, 5, 42);
+  WalkerPoolOptions pool = race_options(4, 6);
+  pool.communication.neighborhood = Neighborhood::kComplete;
+  pool.communication.exchange = Exchange::kElite;
+  pool.communication.period = 50;
+  pool.communication.adopt_probability = 0.5;
+  const auto report = WalkerPool(pool).run(costas);
+  ASSERT_TRUE(report.solved);
+  EXPECT_TRUE(costas.verify(report.best.solution));
+}
+
+TEST(WalkerPool, SequentialWalksAreDeterministicPerStream) {
+  problems::Costas costas(10);
+  const auto a = WalkerPool(sequential_options(5, 42)).run(costas).walkers;
+  const auto b = WalkerPool(sequential_options(5, 42)).run(costas).walkers;
   ASSERT_EQ(a.size(), 5u);
+  ASSERT_EQ(b.size(), 5u);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].result.stats.iterations, b[i].result.stats.iterations);
     EXPECT_EQ(a[i].result.solution, b[i].result.solution);
   }
 }
 
-TEST(RunIndependentWalks, StreamsExploreIndependently) {
+TEST(WalkerPool, SequentialStreamsExploreIndependently) {
   problems::Costas costas(11);
-  const auto walks = run_independent_walks(costas, 8, 7);
+  const auto walks = WalkerPool(sequential_options(8, 7)).run(costas).walkers;
   std::set<std::uint64_t> iteration_counts;
   for (const auto& w : walks) {
     EXPECT_TRUE(w.result.solved);
@@ -115,22 +119,26 @@ TEST(RunIndependentWalks, StreamsExploreIndependently) {
   EXPECT_GT(iteration_counts.size(), 4u);
 }
 
-TEST(RunIndependentWalks, PrefixStabilityAcrossPopulationSize) {
+TEST(WalkerPool, PrefixStabilityAcrossPopulationSize) {
   // Walker i's trajectory must not depend on how many walkers run: this is
   // what makes offline min-of-k analysis equivalent to the racing version.
   problems::Costas costas(9);
-  const auto small = run_independent_walks(costas, 3, 99);
-  const auto large = run_independent_walks(costas, 6, 99);
+  const auto small = WalkerPool(sequential_options(3, 99)).run(costas).walkers;
+  const auto large = WalkerPool(sequential_options(6, 99)).run(costas).walkers;
+  ASSERT_EQ(small.size(), 3u);
+  ASSERT_EQ(large.size(), 6u);
   for (std::size_t i = 0; i < small.size(); ++i) {
     EXPECT_EQ(small[i].result.stats.iterations,
               large[i].result.stats.iterations);
   }
 }
 
-TEST(EmulateFirstFinisher, PicksFewestIterations) {
+TEST(WalkerPool, EmulatedRacePicksFewestIterations) {
   problems::Costas costas(10);
-  auto walks = run_independent_walks(costas, 6, 11);
-  const MultiWalkReport report = emulate_first_finisher(walks);
+  WalkerPoolOptions pool = sequential_options(6, 11);
+  pool.scheduling = Scheduling::kEmulatedRace;
+  pool.termination = Termination::kFirstFinisher;
+  const auto report = WalkerPool(pool).run(costas);
   ASSERT_TRUE(report.solved);
   const auto& winner = report.walkers[report.winner];
   for (const auto& w : report.walkers) {
@@ -141,20 +149,41 @@ TEST(EmulateFirstFinisher, PicksFewestIterations) {
   EXPECT_EQ(report.best.stats.iterations, winner.result.stats.iterations);
 }
 
-TEST(EmulateFirstFinisher, HandlesAllFailed) {
+TEST(WalkerPool, EmulatedRaceHandlesAllFailed) {
   problems::Langford langford(5);  // unsolvable
+  WalkerPoolOptions pool = sequential_options(3, 1);
   core::Params params =
       core::Params::from_hints(langford.tuning(), langford.num_variables());
   params.restart_limit = 500;
   params.max_restarts = 0;
-  auto walks = run_independent_walks(langford, 3, 1, params);
-  const MultiWalkReport report = emulate_first_finisher(walks);
+  pool.params = params;
+  pool.scheduling = Scheduling::kEmulatedRace;
+  pool.termination = Termination::kFirstFinisher;
+  const auto report = WalkerPool(pool).run(langford);
   EXPECT_FALSE(report.solved);
   EXPECT_GT(report.best.cost, 0);
 }
 
+/// Sweep: the threaded race must succeed across walker counts and seeds.
+class ThreadedRaceSweep
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint64_t>> {
+};
+
+TEST_P(ThreadedRaceSweep, AlwaysSolvesCostas9) {
+  const auto [walkers, seed] = GetParam();
+  problems::Costas costas(9);
+  const auto report = WalkerPool(race_options(walkers, seed)).run(costas);
+  ASSERT_TRUE(report.solved);
+  EXPECT_TRUE(costas.verify(report.best.solution));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, ThreadedRaceSweep,
+    ::testing::Combine(::testing::Values(1u, 2u, 3u, 8u),
+                       ::testing::Values(1ULL, 77ULL)));
+
 TEST(ElitePool, OfferAcceptsOnlyStrictImprovements) {
-  ElitePool pool;  // decay 0: the PR-1 keep-best slot
+  ElitePool pool;  // decay 0: the keep-best slot
   const std::vector<int> a{1, 2, 3};
   const std::vector<int> b{3, 2, 1};
   EXPECT_TRUE(pool.offer(1, 10, a));
@@ -174,41 +203,6 @@ TEST(ElitePool, TakeIfBetterHonoursThreshold) {
   EXPECT_EQ(pool.take_if_better(2, 11, out), 10);
   EXPECT_EQ(out, (std::vector<int>{4, 5, 6}));
 }
-
-TEST(DependentMultiWalk, SolvesWithCommunicationEnabled) {
-  problems::Costas costas(10);
-  DependentOptions options;
-  options.base.num_walkers = 4;
-  options.base.master_seed = 6;
-  options.period = 50;
-  options.adopt_probability = 0.5;
-  const DependentMultiWalkSolver solver(options);
-  const MultiWalkReport report = solver.solve(costas);
-  ASSERT_TRUE(report.solved);
-  EXPECT_TRUE(costas.verify(report.best.solution));
-}
-
-/// Sweep: the racing solver must succeed across walker counts and seeds.
-class MultiWalkSweep
-    : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint64_t>> {
-};
-
-TEST_P(MultiWalkSweep, AlwaysSolvesCostas9) {
-  const auto [walkers, seed] = GetParam();
-  problems::Costas costas(9);
-  MultiWalkOptions options;
-  options.num_walkers = walkers;
-  options.master_seed = seed;
-  const MultiWalkSolver solver(options);
-  const MultiWalkReport report = solver.solve(costas);
-  ASSERT_TRUE(report.solved);
-  EXPECT_TRUE(costas.verify(report.best.solution));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, MultiWalkSweep,
-    ::testing::Combine(::testing::Values(1u, 2u, 3u, 8u),
-                       ::testing::Values(1ULL, 77ULL)));
 
 }  // namespace
 }  // namespace cspls::parallel
