@@ -61,8 +61,8 @@ struct JobState {
   std::uint64_t id = 0;
   SolveRequest request;
   JobStream stream;
-  /// Back-reference so JobHandle::cancel can wake the dispatcher even
-  /// after the service object is gone (the core outlives both).
+  /// Back-reference so JobHandle::cancel can reach the FIFO even after the
+  /// service object is gone (the core outlives both).
   std::shared_ptr<ServiceCore> core;
   std::atomic<bool> cancel{false};
   /// Suspend-to-checkpoint request (JobHandle::suspend); observed by the
@@ -75,32 +75,34 @@ struct JobState {
   SolveReport report;                     // immutable once terminal
   std::string error;
   /// The captured PoolCheckpoint of a kPreempted job; guarded by m, written
-  /// (before the terminal transition) only by the worker that ran the job,
+  /// (before the terminal transition) only by the runner that ran the job,
   /// moved out by JobHandle::take_checkpoint.
   std::optional<parallel::PoolCheckpoint> checkpoint;
 };
 
-/// A worker thread exists only for *running* jobs (admitted by the
-/// dispatcher with >= 1 leased slot each), so live worker threads never
-/// exceed the thread budget.  Each worker carries the one job it runs; the
-/// dispatcher's own entry carries none.
-struct Worker {
-  std::jthread thread;
+/// An admitted job and the walker threads it leased.
+struct Lease {
   std::shared_ptr<JobState> job;
+  std::size_t threads = 0;
 };
 
 struct ServiceCore {
   std::mutex m;
-  std::condition_variable cv;  ///< submissions, cancels, budget returns
+  std::condition_variable cv;  ///< handoffs and shutdown, for idle runners
   std::deque<std::shared_ptr<JobState>> fifo;
+  /// Admitted jobs waiting for an idle runner.  Admission hands a job over
+  /// only while idle runners outnumber the waiting handoffs, and starts a
+  /// runner otherwise.
+  std::deque<Lease> handoff;
+  std::size_t idle = 0;  ///< runners between jobs
   std::size_t free_threads = 0;
-  /// Cancel/suspend requests since the dispatcher last drained the FIFO:
-  /// it scans the queue for flagged jobs only when this is non-zero, so a
-  /// deep queue costs no per-admission scan.
-  std::size_t flag_requests = 0;
+  std::size_t per_job_cap = 0;
   std::uint64_t next_id = 1;
   bool shutdown = false;
-  std::vector<Worker> workers;  ///< running/unreaped jobs only
+  /// Jobs a runner has taken and not yet released the lease of.
+  std::vector<std::shared_ptr<JobState>> running;
+  /// Every runner started; each lives until shutdown().
+  std::vector<std::jthread> runners;
 
   // Lifetime counters for ServiceStats — atomics so the terminal-status
   // bumps in finish() need no extra locking discipline.
@@ -156,15 +158,25 @@ void finish_cancelled(const std::shared_ptr<JobState>& job) {
   finish(job, JobStatus::kCancelled, std::move(report), {});
 }
 
-/// Record a cancel/preempt flag flip and wake the dispatcher.  Its wait
-/// predicate reads the request count under core.m, so counting and
-/// notifying while holding core.m keeps the notify from landing between
-/// that check and the wait, where it would be lost.
-void wake_dispatcher(const JobState& job) {
-  if (job.core == nullptr) return;
-  const std::lock_guard<std::mutex> guard(job.core->m);
-  ++job.core->flag_requests;
-  job.core->cv.notify_all();
+/// A cancel or suspend that reaches a job still in the FIFO finishes it
+/// there, under core.m: kCancelled when its cancel flag is up (cancel
+/// wins), else kPreempted with *no* checkpoint — it never ran, so the
+/// original request resubmitted verbatim is its exact resume.  A job a
+/// runner has already taken observes the flags through its engine polls.
+void finish_if_queued(const std::shared_ptr<JobState>& job) {
+  if (job->core == nullptr) return;
+  ServiceCore& core = *job->core;
+  const std::lock_guard<std::mutex> guard(core.m);
+  const auto it = std::find(core.fifo.begin(), core.fifo.end(), job);
+  if (it == core.fifo.end()) return;
+  core.fifo.erase(it);
+  if (job->cancel.load(std::memory_order_relaxed)) {
+    finish_cancelled(job);
+    return;
+  }
+  SolveReport report;
+  report.preempted = true;
+  finish(job, JobStatus::kPreempted, std::move(report), {});
 }
 
 /// Raise the cancel flag under job.m and wake the job's own waiters: a
@@ -178,11 +190,6 @@ bool request_cancel(JobState& job) {
   }
   job.cv.notify_all();
   return true;
-}
-
-bool terminal(const std::shared_ptr<JobState>& job) {
-  std::lock_guard<std::mutex> guard(job->m);
-  return is_terminal(job->status);
 }
 
 }  // namespace
@@ -244,7 +251,7 @@ std::string JobHandle::error() const {
 bool JobHandle::cancel() const {
   detail::JobState& job = state();
   if (!detail::request_cancel(job)) return false;
-  detail::wake_dispatcher(job);
+  detail::finish_if_queued(state_);
   return true;
 }
 
@@ -255,9 +262,7 @@ bool JobHandle::suspend() const {
     if (is_terminal(job.status)) return false;
   }
   job.preempt.store(true, std::memory_order_relaxed);
-  // Wake the dispatcher so a still-queued job resolves promptly (a running
-  // job observes the flag through its engine polls instead).
-  detail::wake_dispatcher(job);
+  detail::finish_if_queued(state_);
   return true;
 }
 
@@ -435,10 +440,25 @@ bool backoff_wait(const std::shared_ptr<detail::JobState>& job,
   });
 }
 
+void admit(const std::shared_ptr<detail::ServiceCore>& core);
+
+/// Return a finished job's lease and admit what it frees.  The calling
+/// runner counts as idle from here, so the FIFO head it admits is handed to
+/// it (or to another idle runner) rather than to a new thread.
+void release(const std::shared_ptr<detail::ServiceCore>& core,
+             const std::shared_ptr<detail::JobState>& job,
+             std::size_t leased) {
+  const std::lock_guard<std::mutex> guard(core->m);
+  core->free_threads += leased;
+  std::erase(core->running, job);
+  ++core->idle;
+  admit(core);
+}
+
 void run_admitted_job(const std::shared_ptr<detail::ServiceCore>& core,
                       const std::shared_ptr<detail::JobState>& job,
                       std::size_t leased) {
-  // The whole job body is contained: nothing may escape a worker thread
+  // The whole job body is contained: nothing may escape a runner thread
   // (an escape would std::terminate the service).  Inner per-attempt
   // containment lives in run_attempt; this shell catches everything else —
   // a malformed CSPLS_FAULTS spec, a bad_alloc while copying the request.
@@ -559,11 +579,7 @@ void run_admitted_job(const std::shared_ptr<detail::ServiceCore>& core,
     error = "unknown exception";
   }
 
-  {
-    std::lock_guard<std::mutex> guard(core->m);
-    core->free_threads += leased;
-  }
-  core->cv.notify_all();
+  release(core, job, leased);
 
   if (checkpoint.has_value()) {
     // Stash before the terminal transition: take_checkpoint() only reads
@@ -574,41 +590,94 @@ void run_admitted_job(const std::shared_ptr<detail::ServiceCore>& core,
   detail::finish(job, status, std::move(report), std::move(error));
 }
 
+/// Runs leased jobs one after another until shutdown: the first one it was
+/// started for, then each handed off to it while idle.
+void run_runner(const std::shared_ptr<detail::ServiceCore>& core,
+                detail::Lease lease) {
+  for (;;) {
+    run_admitted_job(core, lease.job, lease.threads);
+    std::unique_lock<std::mutex> lock(core->m);
+    core->cv.wait(lock,
+                  [&] { return core->shutdown || !core->handoff.empty(); });
+    if (core->handoff.empty()) return;
+    lease = std::move(core->handoff.front());
+    core->handoff.pop_front();
+    --core->idle;
+    core->running.push_back(lease.job);
+  }
+}
+
+/// FIFO admission, with core.m held: while budget is free, the head job
+/// leases min(its desired parallelism, free slots) and goes to an idle
+/// runner, or to a new one when none is idle — so live runners never
+/// exceed the peak number of jobs holding a lease at once.  Starting a
+/// runner is part of the contained dispatch path: when it fails and no
+/// runner exists, the lease is refunded and the job resolves kFailed (an
+/// escaping exception would hang every outstanding handle); with runners
+/// alive, the job waits in the handoff for the next one to free up.
+void admit(const std::shared_ptr<detail::ServiceCore>& core) {
+  while (!core->shutdown && !core->fifo.empty() && core->free_threads > 0) {
+    detail::Lease lease{core->fifo.front(), 0};
+    core->fifo.pop_front();
+    lease.threads = std::min(desired_threads(lease.job->request,
+                                             core->per_job_cap),
+                             core->free_threads);
+    core->free_threads -= lease.threads;
+    if (core->idle > core->handoff.size()) {
+      core->handoff.push_back(std::move(lease));
+      core->cv.notify_one();
+      continue;
+    }
+    try {
+      core->runners.emplace_back(
+          [core, lease] { run_runner(core, lease); });
+      core->running.push_back(lease.job);
+    } catch (const std::exception& e) {
+      if (!core->runners.empty()) {
+        core->handoff.push_back(std::move(lease));
+        continue;
+      }
+      core->free_threads += lease.threads;
+      detail::finish(lease.job, JobStatus::kFailed, {},
+                     std::string("dispatch failed: ") + e.what());
+    }
+  }
+}
+
 }  // namespace
 
 SolverService::SolverService(Options options)
-    : per_job_cap_(options.max_threads_per_job),
-      core_(std::make_shared<detail::ServiceCore>()) {
+    : core_(std::make_shared<detail::ServiceCore>()) {
   budget_ = options.thread_budget != 0
                 ? options.thread_budget
                 : std::max(1u, std::thread::hardware_concurrency());
   core_->free_threads = budget_;
-  // One long-lived scheduler thread; workers exist per running job only.
-  core_->workers.push_back(
-      detail::Worker{std::jthread([this] { dispatch_loop(); }), {}});
+  core_->per_job_cap = options.max_threads_per_job;
 }
 
 SolverService::~SolverService() { shutdown(); }
 
 void SolverService::shutdown() {
-  std::vector<detail::Worker> workers;
-  std::vector<std::shared_ptr<detail::JobState>> queued;
+  std::vector<std::jthread> runners;
+  std::vector<std::shared_ptr<detail::JobState>> unstarted;
   {
     std::lock_guard<std::mutex> guard(core_->m);
     core_->shutdown = true;
-    workers.swap(core_->workers);
-    queued.assign(core_->fifo.begin(), core_->fifo.end());
+    runners.swap(core_->runners);
+    unstarted.assign(core_->fifo.begin(), core_->fifo.end());
     core_->fifo.clear();
-  }
-  for (const detail::Worker& worker : workers) {
-    if (worker.job) (void)detail::request_cancel(*worker.job);
+    for (detail::Lease& lease : core_->handoff) {
+      core_->free_threads += lease.threads;
+      unstarted.push_back(std::move(lease.job));
+    }
+    core_->handoff.clear();
+    for (const auto& job : core_->running) (void)detail::request_cancel(*job);
   }
   core_->cv.notify_all();
-  // Jobs never admitted finish as cancelled here (the dispatcher may
-  // already be gone from the FIFO's point of view).
-  for (const auto& job : queued) detail::finish_cancelled(job);
-  // jthread destructors join the dispatcher and every worker as `workers`
-  // goes out of scope; a second call finds everything already drained.
+  // Jobs no runner took finish as cancelled here, without running.
+  for (const auto& job : unstarted) detail::finish_cancelled(job);
+  // jthread destructors join every runner as `runners` goes out of scope;
+  // a second call finds everything already drained.
 }
 
 JobHandle SolverService::submit(SolveRequest request, JobStream stream) {
@@ -640,9 +709,9 @@ JobHandle SolverService::submit(SolveRequest request, JobStream stream) {
     throw_if_shutdown();  // closed while we were validating
     job->id = core_->next_id++;
     core_->fifo.push_back(job);
+    admit(core_);
   }
   core_->submitted.fetch_add(1, std::memory_order_relaxed);
-  core_->cv.notify_all();
   return JobHandle(job);
 }
 
@@ -651,9 +720,7 @@ ServiceStats SolverService::stats() const {
   {
     std::lock_guard<std::mutex> guard(core_->m);
     snapshot.queued = core_->fifo.size();
-    for (const detail::Worker& worker : core_->workers) {
-      if (worker.job && !detail::terminal(worker.job)) ++snapshot.running;
-    }
+    snapshot.running = core_->running.size() + core_->handoff.size();
     snapshot.free_threads = core_->free_threads;
   }
   snapshot.submitted = core_->submitted.load(std::memory_order_relaxed);
@@ -669,84 +736,7 @@ ServiceStats SolverService::stats() const {
 
 std::size_t SolverService::pending_jobs() const {
   std::lock_guard<std::mutex> guard(core_->m);
-  std::size_t pending = core_->fifo.size();
-  for (const detail::Worker& worker : core_->workers) {
-    if (worker.job && !detail::terminal(worker.job)) ++pending;
-  }
-  return pending;
-}
-
-void SolverService::dispatch_loop() {
-  detail::ServiceCore& core = *core_;
-  std::unique_lock<std::mutex> lock(core.m);
-  while (true) {
-    core.cv.wait(lock, [&] {
-      if (core.shutdown) return true;
-      if (core.fifo.empty()) return false;
-      if (core.free_threads > 0) return true;
-      // No budget: still wake to drain cancelled/suspended queued jobs
-      // promptly.
-      return core.flag_requests > 0;
-    });
-    if (core.shutdown) return;
-
-    // Drain cancellations and suspensions anywhere in the queue first: a
-    // cancelled or suspended queued job must become terminal without
-    // waiting for budget.  A suspended queued job never ran, so it resolves
-    // kPreempted with *no* checkpoint — resubmitting the original request
-    // verbatim is its exact resume (cancel wins when both flags are up).
-    // Only a flag flip since the last drain can have flagged a queued job.
-    const bool drain = core.flag_requests > 0;
-    core.flag_requests = 0;
-    for (auto it = core.fifo.begin(); drain && it != core.fifo.end();) {
-      if ((*it)->cancel.load(std::memory_order_relaxed)) {
-        const auto job = *it;
-        it = core.fifo.erase(it);
-        detail::finish_cancelled(job);
-      } else if ((*it)->preempt.load(std::memory_order_relaxed)) {
-        const auto job = *it;
-        it = core.fifo.erase(it);
-        SolveReport report;
-        report.preempted = true;
-        detail::finish(job, JobStatus::kPreempted, std::move(report), {});
-      } else {
-        ++it;
-      }
-    }
-
-    // Reap workers whose job is terminal (status is published before the
-    // worker returns, so these joins only wait out the return path).
-    std::erase_if(core.workers, [](detail::Worker& worker) {
-      // The dispatcher's own entry carries no job.
-      if (!worker.job || !detail::terminal(worker.job)) return false;
-      if (worker.thread.joinable()) worker.thread.join();
-      return true;
-    });
-
-    // FIFO admission: the head job gets a dedicated worker.  Spawning is
-    // part of the contained dispatch path: if the worker cannot be created
-    // (thread exhaustion, bad_alloc) the lease is refunded and the job
-    // resolves kFailed — an exception here would take down the dispatcher
-    // and hang every outstanding handle.
-    if (!core.fifo.empty() && core.free_threads > 0) {
-      const auto job = core.fifo.front();
-      core.fifo.pop_front();
-      const std::size_t leased = std::min(
-          desired_threads(job->request, per_job_cap_), core.free_threads);
-      core.free_threads -= leased;
-      try {
-        core.workers.push_back(detail::Worker{
-            std::jthread([core = core_, job, leased] {
-              run_admitted_job(core, job, leased);
-            }),
-            job});
-      } catch (const std::exception& e) {
-        core.free_threads += leased;
-        detail::finish(job, JobStatus::kFailed, {},
-                       std::string("dispatch failed: ") + e.what());
-      }
-    }
-  }
+  return core_->fifo.size() + core_->handoff.size() + core_->running.size();
 }
 
 }  // namespace cspls::api

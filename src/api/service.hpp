@@ -12,19 +12,24 @@
 // the job finishes, waking the next queued job.
 //
 // OS threads are bounded by the budget, not the queue depth: submission
-// only enqueues; one dispatcher thread admits jobs and spawns a worker per
-// *running* job (each holds >= 1 lease, so running jobs <= budget).  A
-// client may queue thousands of requests without growing the thread count.
+// only enqueues and admits.  Admitted jobs run on reused runner threads: a
+// runner that finishes a job returns its lease and admits the next FIFO
+// head itself, and a new runner starts only when a job is admitted while
+// none is idle.  Live runners therefore never exceed the peak number of
+// jobs running at once (each holds >= 1 lease, so <= budget), a client may
+// queue thousands of requests without growing the thread count, and a
+// service that never admitted a job owns no thread.  Runners live until
+// shutdown().
 //
-// Cancellation: cancel() flips the job's flag.  A queued job finishes
-// immediately (kCancelled, empty report); a running job stops within one
-// engine polling period and its report carries the best configuration
-// reached so far (the anytime contract) with `cancelled` set; a job backing
-// off between attempts wakes at once and finishes kCancelled.  Destroying
-// the service cancels every outstanding job and joins all workers.  No
-// path sleeps on a timer: the dispatcher, backoffs and the stall watchdog
-// all wait on condition variables that cancel, suspend, budget returns
-// and disarming notify.
+// Cancellation: cancel() flips the job's flag.  A queued job leaves the
+// FIFO and finishes at once (kCancelled, empty report); a running job
+// stops within one engine polling period and its report carries the best
+// configuration reached so far (the anytime contract) with `cancelled`
+// set; a job backing off between attempts wakes at once and finishes
+// kCancelled.  Destroying the service cancels every outstanding job and
+// joins all runners.  No path sleeps on a timer: idle runners, backoffs
+// and the stall watchdog all wait on condition variables that admission,
+// cancel, suspend, shutdown and disarming notify.
 //
 // Self-healing: an attempt that crashes wholesale (every walker failed, or
 // the dispatch path threw) or stalls (no engine heartbeat for the
@@ -211,7 +216,7 @@ class SolverService {
   [[nodiscard]] JobHandle submit(SolveRequest request, JobStream stream);
 
   /// Stop accepting submissions, cancel every queued and running job and
-  /// join all workers (blocking).  Idempotent; also run by the destructor.
+  /// join all runners (blocking).  Idempotent; also run by the destructor.
   /// Outstanding JobHandles stay valid and observe kCancelled.
   void shutdown();
 
@@ -225,10 +230,7 @@ class SolverService {
   [[nodiscard]] ServiceStats stats() const;
 
  private:
-  void dispatch_loop();
-
   std::size_t budget_ = 1;
-  std::size_t per_job_cap_ = 0;
   std::shared_ptr<detail::ServiceCore> core_;
 };
 

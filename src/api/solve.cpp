@@ -272,7 +272,7 @@ SolveRequest SolveRequest::from_json(const util::Json& json) {
   require_known_members(
       json,
       {"problem", "walkers", "seed", "scheduling", "neighborhood", "exchange",
-       "comm_mode", "topology", "termination", "comm_period",
+       "comm_mode", "termination", "comm_period",
        "comm_adopt_probability", "comm_decay", "max_threads", "deadline_ms",
        "params", "trace", "trace_sample_period", "retry", "watchdog_stall_ms",
        "warm_start", "faults", "resume_from"},
@@ -288,26 +288,11 @@ SolveRequest SolveRequest::from_json(const util::Json& json) {
   request.seed = get_u64(json, "seed", request.seed);
   request.scheduling = get_policy(json, "scheduling", scheduling_from_name,
                                   request.scheduling);
-  if (json.find("topology") != nullptr) {
-    // Deprecated alias for the three legacy communication pairs; a document
-    // mixing it with the members it aliases is ambiguous, not mergeable.
-    if (json.find("neighborhood") != nullptr ||
-        json.find("exchange") != nullptr) {
-      bad_member("topology",
-                 "deprecated alias for neighborhood x exchange; a request "
-                 "may name either spelling, not both");
-    }
-    const parallel::CommunicationPolicy aliased(get_policy(
-        json, "topology", topology_from_name, parallel::Topology::kIndependent));
-    request.neighborhood = aliased.neighborhood;
-    request.exchange = aliased.exchange;
-  } else {
-    request.neighborhood = get_policy(json, "neighborhood",
-                                      neighborhood_from_name,
-                                      request.neighborhood);
-    request.exchange =
-        get_policy(json, "exchange", exchange_from_name, request.exchange);
-  }
+  request.neighborhood = get_policy(json, "neighborhood",
+                                    neighborhood_from_name,
+                                    request.neighborhood);
+  request.exchange =
+      get_policy(json, "exchange", exchange_from_name, request.exchange);
   request.comm_mode = get_policy(json, "comm_mode", comm_mode_from_name,
                                  request.comm_mode);
   request.termination = get_policy(json, "termination", termination_from_name,

@@ -44,7 +44,6 @@ using parallel::scheduling_from_name;
 using parallel::neighborhood_from_name;
 using parallel::exchange_from_name;
 using parallel::comm_mode_from_name;
-using parallel::topology_from_name;
 using parallel::termination_from_name;
 using parallel::restart_schedule_from_name;
 
@@ -81,8 +80,7 @@ struct SolveRequest {
 
   parallel::Scheduling scheduling = parallel::Scheduling::kThreads;
   /// The communication pair: who talks to whom (`neighborhood`) and what
-  /// flows over the edges (`exchange`).  The wire also accepts the
-  /// deprecated "topology" member as an alias for the three legacy pairs.
+  /// flows over the edges (`exchange`).
   parallel::Neighborhood neighborhood = parallel::Neighborhood::kIsolated;
   parallel::Exchange exchange = parallel::Exchange::kNone;
   /// When adoption may happen ("comm_mode" on the wire): "on_reset" = only

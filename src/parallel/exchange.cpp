@@ -4,23 +4,6 @@
 
 namespace cspls::parallel {
 
-CommunicationPolicy::CommunicationPolicy(Topology topology) {
-  switch (topology) {
-    case Topology::kIndependent:
-      neighborhood = Neighborhood::kIsolated;
-      exchange = Exchange::kNone;
-      break;
-    case Topology::kSharedElite:
-      neighborhood = Neighborhood::kComplete;
-      exchange = Exchange::kElite;
-      break;
-    case Topology::kRingElite:
-      neighborhood = Neighborhood::kRing;
-      exchange = Exchange::kElite;
-      break;
-  }
-}
-
 CommChannels::CommChannels(const CommunicationPolicy& policy,
                            std::size_t num_walkers) {
   if (!policy.exchanging()) return;

@@ -1,8 +1,7 @@
 // ExchangeStrategy — what flows over the neighbourhood edges, and when.
 //
-// Together with neighborhood.hpp this replaces the closed Topology enum that
-// used to hard-wire three communication schemes into the WalkerPool run
-// loop.  A CommunicationPolicy is now the free product of two orthogonal
+// Together with neighborhood.hpp this replaces the closed communication
+// enum that used to hard-wire three schemes into the WalkerPool run loop.  A CommunicationPolicy is now the free product of two orthogonal
 // choices plus three knobs:
 //
 //   Exchange::kNone        no communication (the paper's scheme) — the
@@ -68,15 +67,6 @@ enum class CommMode {
   kAsync,    ///< also pull from the in-neighbour slots mid-walk every period
 };
 
-/// The legacy communication enum of PR 1..3.  Deprecated: each value is an
-/// alias for a (Neighborhood, Exchange) pair via the CommunicationPolicy
-/// converting constructor; new code should spell the pair directly.
-enum class Topology {
-  kIndependent,  ///< = kIsolated x kNone
-  kSharedElite,  ///< = kComplete x kElite
-  kRingElite,    ///< = kRing x kElite
-};
-
 /// Communication policy: the exchange graph, the strategy flowing over it,
 /// and the shared knobs (all ignored under Exchange::kNone).
 struct CommunicationPolicy {
@@ -96,11 +86,6 @@ struct CommunicationPolicy {
   /// are invisible and forgotten.  Required >= 1 for kDecayElite, optional
   /// for kMigration (0 = migrants never expire), must be 0 for kElite.
   std::uint64_t decay = 0;
-
-  CommunicationPolicy() = default;
-  /// Deprecated alias: spell a legacy Topology as neighbourhood x exchange
-  /// (implicit on purpose — legacy call sites pass the bare enum).
-  CommunicationPolicy(Topology topology);  // NOLINT(google-explicit-constructor)
 
   [[nodiscard]] bool exchanging() const noexcept {
     return exchange != Exchange::kNone;

@@ -25,9 +25,6 @@
 //       (kOnReset, the historical semantics) or additionally mid-walk every
 //       publish period (kAsync, asynchronous gossip through the engine's
 //       mid-walk hook).
-//     The legacy Topology enum survives as a deprecated alias constructor
-//     (kIndependent = isolated x none, kSharedElite = complete x elite,
-//     kRingElite = ring x elite — byte-for-byte the PR-1 trajectories).
 //
 //   Termination — when the pool stops:
 //     * kFirstFinisher    the first walker to solve wins and stops the rest

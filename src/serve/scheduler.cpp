@@ -4,23 +4,19 @@
 #include <stdexcept>
 #include <utility>
 
-#include "api/solver.hpp"
-#include "core/stop_token.hpp"
-#include "util/fault.hpp"
 
 namespace cspls::serve {
 
 namespace detail {
 
-/// One admitted job, shared between the lanes, the workers/dispatcher and
-/// any cancel() caller.  Queue membership, phase and the service handle
+/// One admitted job, shared between the lanes, the dispatcher and any
+/// cancel() caller.  Queue membership, phase and the service handle
 /// are guarded by the scheduler mutex; the sample filter has its own lock
 /// because walker threads hit it while the scheduler lock is busy.
 struct ServeJob {
   std::uint64_t id = 0;
   SolveCommand command;
   JobEvents events;
-  bool warm_path = false;
 
   std::atomic<bool> cancel{false};
 
@@ -31,7 +27,7 @@ struct ServeJob {
   std::atomic<bool> service_ran{false};
 
   // Guarded by Scheduler::m_.
-  api::JobHandle handle;         ///< service path, once submitted
+  api::JobHandle handle;         ///< once submitted to the service
   bool in_service = false;
   bool preempt_pending = false;  ///< cancelled to make room, requeue on reap
   bool started_recorded = false;
@@ -79,15 +75,6 @@ std::size_t lane_of(const detail::ServeJob& job) {
   return static_cast<std::size_t>(job.command.priority);
 }
 
-/// Walker threads the job would lease — the service's accounting, mirrored
-/// so path selection matches what the budget would actually see.
-std::size_t lease_estimate(const api::SolveRequest& request) {
-  if (request.scheduling != parallel::Scheduling::kThreads) return 1;
-  std::size_t want = std::max<std::size_t>(1, request.walkers);
-  if (request.max_threads != 0) want = std::min(want, request.max_threads);
-  return want;
-}
-
 api::SolveReport cancelled_report(const detail::ServeJob& job) {
   api::SolveReport report;
   report.problem = job.command.request.problem;
@@ -114,7 +101,6 @@ util::Json SchedulerStats::to_json() const {
       .set("queued_normal", static_cast<std::uint64_t>(queued[1]))
       .set("queued_low", static_cast<std::uint64_t>(queued[2]))
       .set("inflight", static_cast<std::uint64_t>(inflight))
-      .set("warm_active", static_cast<std::uint64_t>(warm_active))
       .set("submitted", submitted)
       .set("completed", completed)
       .set("cancelled", cancelled)
@@ -122,22 +108,13 @@ util::Json SchedulerStats::to_json() const {
       .set("preempted_queued", preempted_queued)
       .set("preempted_running", preempted_running)
       .set("resumed", resumed)
-      .set("rejected_overload", rejected_overload)
-      .set("givebacks", givebacks)
-      .set("batches", batches)
-      .set("batched_jobs", batched_jobs);
+      .set("rejected_overload", rejected_overload);
   return json;
 }
 
 Scheduler::Scheduler(SchedulerOptions options)
     : options_(std::move(options)), service_(options_.service) {
-  if (options_.warm_workers == 0) options_.warm_workers = 1;
-  if (options_.warm_batch_max == 0) options_.warm_batch_max = 1;
   if (options_.service_inflight == 0) options_.service_inflight = 1;
-  warm_threads_.reserve(options_.warm_workers);
-  for (std::size_t i = 0; i < options_.warm_workers; ++i) {
-    warm_threads_.emplace_back([this] { warm_loop(); });
-  }
   dispatcher_ = std::thread([this] { dispatch_loop(); });
 }
 
@@ -154,8 +131,6 @@ std::uint64_t Scheduler::submit(SolveCommand command, JobEvents events) {
     job->command.sample_period = options_.default_sample_period;
   }
   job->events = std::move(events);
-  job->warm_path =
-      lease_estimate(job->command.request) <= options_.warm_lease_threshold;
   const std::size_t lane_idx = lane_of(*job);
   {
     std::lock_guard lock(m_);
@@ -167,8 +142,7 @@ std::uint64_t Scheduler::submit(SolveCommand command, JobEvents events) {
     // slot across the unlock below, so concurrent submits cannot overshoot
     // the bound.
     if (options_.max_lane_depth != 0 &&
-        warm_lanes_[lane_idx].size() + service_lanes_[lane_idx].size() +
-                admitting_[lane_idx] >=
+        lanes_[lane_idx].size() + admitting_[lane_idx] >=
             options_.max_lane_depth) {
       ++rejected_overload_;
       throw ProtocolError(
@@ -181,7 +155,7 @@ std::uint64_t Scheduler::submit(SolveCommand command, JobEvents events) {
     job->id = next_id_++;
   }
 
-  // Fired before the job is visible to any worker, with no lock held:
+  // Fired before the job is visible to the dispatcher, with no lock held:
   // `accepted` always precedes the first `sample`.
   if (job->events.on_accepted) job->events.on_accepted(job->id);
 
@@ -193,8 +167,7 @@ std::uint64_t Scheduler::submit(SolveCommand command, JobEvents events) {
       raced_shutdown = true;
     } else {
       jobs_.emplace(job->id, job);
-      auto& lanes = job->warm_path ? warm_lanes_ : service_lanes_;
-      lanes[lane_idx].push_back(job);
+      lanes_[lane_idx].push_back(job);
       ++submitted_;
     }
   }
@@ -203,11 +176,7 @@ std::uint64_t Scheduler::submit(SolveCommand command, JobEvents events) {
     job->emit_report(kCancelled, cancelled_report(*job), {});
     return job->id;
   }
-  if (job->warm_path) {
-    warm_cv_.notify_one();
-  } else {
-    wake_dispatcher();
-  }
+  wake_dispatcher();
   return job->id;
 }
 
@@ -226,8 +195,7 @@ Scheduler::CancelResult Scheduler::cancel(std::uint64_t id) {
       job->preempt_pending = false;
       (void)job->handle.cancel();
     } else {
-      auto& lanes = job->warm_path ? warm_lanes_ : service_lanes_;
-      auto& lane = lanes[lane_of(*job)];
+      auto& lane = lanes_[lane_of(*job)];
       const auto pos = std::find(lane.begin(), lane.end(), job);
       if (pos != lane.end()) {
         // Still queued here: finalize directly, nobody else owns it.
@@ -236,8 +204,6 @@ Scheduler::CancelResult Scheduler::cancel(std::uint64_t id) {
         ++cancelled_;
         dequeued = job;
       }
-      // Otherwise a warm worker holds it; the flag stops the solve and the
-      // worker finalizes with status "cancelled".
     }
     result = CancelResult::kCancelled;
   }
@@ -250,8 +216,7 @@ bool Scheduler::reject_overloaded(Priority priority) {
   const auto lane_idx = static_cast<std::size_t>(priority);
   std::lock_guard lock(m_);
   if (options_.max_lane_depth == 0 ||
-      warm_lanes_[lane_idx].size() + service_lanes_[lane_idx].size() +
-              admitting_[lane_idx] <
+      lanes_[lane_idx].size() + admitting_[lane_idx] <
           options_.max_lane_depth) {
     return false;
   }
@@ -263,10 +228,9 @@ SchedulerStats Scheduler::stats() const {
   std::lock_guard lock(m_);
   SchedulerStats stats;
   for (std::size_t i = 0; i < kNumLanes; ++i) {
-    stats.queued[i] = warm_lanes_[i].size() + service_lanes_[i].size();
+    stats.queued[i] = lanes_[i].size();
   }
   stats.inflight = inflight_.size();
-  stats.warm_active = warm_active_;
   stats.submitted = submitted_;
   stats.completed = completed_;
   stats.cancelled = cancelled_;
@@ -275,9 +239,6 @@ SchedulerStats Scheduler::stats() const {
   stats.preempted_running = preempted_running_;
   stats.resumed = resumed_;
   stats.rejected_overload = rejected_overload_;
-  stats.givebacks = givebacks_;
-  stats.batches = batches_;
-  stats.batched_jobs = batched_jobs_;
   return stats;
 }
 
@@ -288,140 +249,8 @@ std::vector<std::uint64_t> Scheduler::started_order() const {
   return started_order_;
 }
 
-bool Scheduler::warm_lanes_empty() const {
-  for (const auto& lane : warm_lanes_) {
-    if (!lane.empty()) return false;
-  }
-  return true;
-}
-
 void Scheduler::finalize(const Finalization& f) {
   f.job->emit_report(f.status, f.report, f.error);
-}
-
-std::string Scheduler::run_warm(detail::ServeJob& job) {
-  api::SolveReport report;
-  std::string status{kDone};
-  std::string error;
-  try {
-    // The warm path shares the service path's dispatch failure model: one
-    // `service_dispatch` probe per job, so the same fault plans script
-    // crashes on either path.  No retry here — small jobs rerun cheaply
-    // from the client; self-healing is the service path's job.
-    const util::fault::Schedule schedule =
-        util::fault::kCompiledIn
-            ? util::fault::Schedule::with_env(job.command.request.faults)
-            : util::fault::Schedule{};
-    util::fault::Session dispatch_faults(&schedule, util::fault::kAnyWalker);
-    if (util::fault::probe(&dispatch_faults,
-                           util::fault::Site::kServiceDispatch) ==
-        util::fault::Action::kCorrupt) {
-      throw std::runtime_error("injected fault: corrupt service_dispatch");
-    }
-
-    const core::StopToken token(&job.cancel);
-    api::SolveCallbacks callbacks;
-    if (job.command.stream && job.command.sample_period != 0) {
-      callbacks.sample_sink = [&job](std::size_t walker,
-                                     std::uint64_t iteration, csp::Cost cost) {
-        job.offer_sample(walker, iteration, cost);
-      };
-      callbacks.sample_period = job.command.sample_period;
-    }
-    report = api::Solver::solve(job.command.request, token, callbacks);
-    if (report.cancelled) status = kCancelled;
-  } catch (const std::exception& ex) {
-    status = kFailed;
-    error = ex.what();
-    report = api::SolveReport{};
-    report.problem = job.command.request.problem;
-  }
-  job.emit_report(status, report, error);
-  return status;
-}
-
-void Scheduler::warm_loop() {
-  std::vector<JobPtr> batch;
-  for (;;) {
-    std::size_t lane_idx = 0;
-    {
-      std::unique_lock lock(m_);
-      warm_cv_.wait(lock, [this] { return stopping_ || !warm_lanes_empty(); });
-      if (stopping_ && warm_lanes_empty()) return;
-      while (warm_lanes_[lane_idx].empty()) ++lane_idx;
-      auto& lane = warm_lanes_[lane_idx];
-      const std::size_t take = std::min(options_.warm_batch_max, lane.size());
-      batch.assign(lane.begin(), lane.begin() + static_cast<std::ptrdiff_t>(take));
-      lane.erase(lane.begin(), lane.begin() + static_cast<std::ptrdiff_t>(take));
-      warm_active_ += take;
-      ++batches_;
-      batched_jobs_ += take;
-    }
-
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      bool gave_back = false;
-      JobPtr cut;  ///< claimed but cancelled/shut down before starting
-      {
-        std::unique_lock lock(m_);
-        // Give-back preemption: a stronger lane filled while this batch
-        // was in hand — return the unstarted tail and re-claim from the
-        // top.  Skipped during shutdown (everything is cancelled anyway).
-        if (!stopping_) {
-          for (std::size_t stronger = 0; stronger < lane_idx; ++stronger) {
-            if (!warm_lanes_[stronger].empty()) {
-              for (std::size_t j = batch.size(); j > i; --j) {
-                warm_lanes_[lane_idx].push_front(batch[j - 1]);
-              }
-              const std::size_t returned = batch.size() - i;
-              givebacks_ += returned;
-              warm_active_ -= returned;
-              batch.resize(i);
-              gave_back = true;
-              warm_cv_.notify_one();
-              break;
-            }
-          }
-        }
-        if (!gave_back) {
-          if (stopping_ ||
-              batch[i]->cancel.load(std::memory_order_relaxed)) {
-            // Shutdown (or a client cancel) caught this claim before it
-            // started: finalize with a terminal cancel event without
-            // paying the solve's start-up.  It never ran, so it records
-            // no start.
-            jobs_.erase(batch[i]->id);
-            --warm_active_;
-            ++cancelled_;
-            cut = batch[i];
-          } else if (!batch[i]->started_recorded) {
-            batch[i]->started_recorded = true;
-            started_order_.push_back(batch[i]->id);
-          }
-        }
-      }
-      if (gave_back) break;
-      if (cut) {
-        cut->emit_report(kCancelled, cancelled_report(*cut), {});
-        continue;
-      }
-
-      const std::string status = run_warm(*batch[i]);
-
-      {
-        std::lock_guard lock(m_);
-        jobs_.erase(batch[i]->id);
-        --warm_active_;
-        if (status == kDone) {
-          ++completed_;
-        } else if (status == kCancelled) {
-          ++cancelled_;
-        } else {
-          ++failed_;
-        }
-      }
-    }
-    batch.clear();
-  }
 }
 
 void Scheduler::wake_dispatcher() {
@@ -519,7 +348,7 @@ void Scheduler::dispatch_loop() {
       // Requeue preempted jobs at the front of their lanes, preserving
       // their relative FIFO order (reverse iteration + push_front).
       for (auto rit = requeue.rbegin(); rit != requeue.rend(); ++rit) {
-        service_lanes_[lane_of(**rit)].push_front(*rit);
+        lanes_[lane_of(**rit)].push_front(*rit);
       }
 
       // Preempt: a stronger lane is waiting while weaker in-flight jobs
@@ -527,7 +356,7 @@ void Scheduler::dispatch_loop() {
       if (!stopping_) {
         std::size_t strongest_waiting = kNumLanes;
         for (std::size_t i = 0; i < kNumLanes; ++i) {
-          if (!service_lanes_[i].empty()) {
+          if (!lanes_[i].empty()) {
             strongest_waiting = i;
             break;
           }
@@ -571,7 +400,7 @@ void Scheduler::dispatch_loop() {
         // lane first.
         while (inflight_.size() < options_.service_inflight) {
           JobPtr job;
-          for (auto& lane : service_lanes_) {
+          for (auto& lane : lanes_) {
             if (!lane.empty()) {
               job = lane.front();
               lane.pop_front();
@@ -631,7 +460,7 @@ void Scheduler::dispatch_loop() {
 
       if (stopping_ && inflight_.empty()) {
         // Drain anything still laned (shutdown raced a requeue).
-        for (auto& lane : service_lanes_) {
+        for (auto& lane : lanes_) {
           while (!lane.empty()) {
             const JobPtr job = lane.front();
             lane.pop_front();
@@ -659,30 +488,24 @@ void Scheduler::shutdown() {
     if (joined_) return;
     stopping_ = true;
     // Drain the lanes: queued jobs finalize as cancelled right here.
-    for (auto* lanes : {&warm_lanes_, &service_lanes_}) {
-      for (auto& lane : *lanes) {
-        while (!lane.empty()) {
-          const JobPtr job = lane.front();
-          lane.pop_front();
-          done.push_back(Finalization{job, std::string(kCancelled),
-                                      cancelled_report(*job), std::string{}});
-          jobs_.erase(job->id);
-          ++cancelled_;
-        }
+    for (auto& lane : lanes_) {
+      while (!lane.empty()) {
+        const JobPtr job = lane.front();
+        lane.pop_front();
+        done.push_back(Finalization{job, std::string(kCancelled),
+                                    cancelled_report(*job), std::string{}});
+        jobs_.erase(job->id);
+        ++cancelled_;
       }
     }
-    // Anything still live is held by a worker or the service: flag it.
+    // Anything still live is held by the service: flag it.
     for (const auto& [id, job] : jobs_) {
       job->cancel.store(true, std::memory_order_relaxed);
       if (job->in_service) (void)job->handle.cancel();
     }
   }
-  warm_cv_.notify_all();
   wake_dispatcher();
   for (const Finalization& f : done) finalize(f);
-  for (std::thread& thread : warm_threads_) {
-    if (thread.joinable()) thread.join();
-  }
   if (dispatcher_.joinable()) dispatcher_.join();
   service_.shutdown();
   {

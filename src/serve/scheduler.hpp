@@ -1,38 +1,26 @@
 // The serving tier's admission scheduler: three priority lanes in front of
-// two execution paths, chosen per job by its thread-lease estimate.
+// one execution path, an api::SolverService — every job inherits its thread
+// budget, reused runner threads, retry/backoff self-healing and watchdog.
 //
-// Warm path (lease <= warm_lease_threshold): a fixed pool of warm worker
-// threads claims *batches* of small jobs off the strongest non-empty lane
-// and runs them one after another in-thread, each through
-// api::Solver::solve — a thousand one-walker solves cost `warm_workers`
-// long-lived threads, not a thousand service workers.  Preemption is
-// cooperative give-back: before each job of the batch starts, the worker
-// re-checks the stronger lanes and returns the still-unstarted tail to the
-// front of its lane when one filled up.  Shutdown (or a client cancel)
-// reaching a claimed-but-unstarted job finalizes it with a terminal
-// "cancelled" event — it never runs and never records a start.
-//
-// Service path (bigger leases): jobs flow through an api::SolverService —
-// inheriting its thread budget, retry/backoff self-healing and watchdog —
-// kept shallow (at most `service_inflight` submitted at a time) so lane
-// order, not the service's FIFO, decides who runs next.  When a stronger
-// lane has a job waiting, in-flight weaker jobs that are still *queued*
-// inside the service are preempted: cancelled and requeued at the front of
-// their lane, to be resubmitted after the stronger job — they still
-// terminate with their real status once re-run.  When no queued victim
-// exists and the service is at its in-flight cap, the weakest *running*
-// job is suspended instead: the engine stops it at a safe point,
+// The service is kept shallow (at most `service_inflight` jobs submitted at
+// a time) so lane order, not the service's FIFO, decides who runs next.
+// When a stronger lane has a job waiting, in-flight weaker jobs that are
+// still *queued* inside the service are preempted: cancelled and requeued
+// at the front of their lane, to be resubmitted after the stronger job —
+// they still terminate with their real status once re-run.  When no queued
+// victim exists and the service is at its in-flight cap, the weakest
+// *running* job is suspended instead: the engine stops it at a safe point,
 // surrenders a PoolCheckpoint, and the job returns to the front of its
 // lane carrying the checkpoint (SolveRequest::resume_from) — its next
 // claim resumes the walk exactly where it stopped, byte-identical to never
 // having been interrupted.  A capture failure degrades to plain
 // cancel-and-requeue (the job restarts from scratch, losing only work).
 //
-// The service path's dispatcher is event-driven: it sleeps until woken and
-// then makes one pass (reap, preempt, submit).  submit() to a service lane,
-// cancel(), shutdown() and every status transition of an in-flight service
-// job (JobStream::on_transition: running, retrying, degraded, terminal)
-// wake it.  A wake sets a pending flag under its own leaf mutex, so one
+// The dispatcher is event-driven: it sleeps until woken and then makes one
+// pass (reap, preempt, submit).  submit(), cancel(), shutdown() and every
+// status transition of an in-flight service job
+// (JobStream::on_transition: running, retrying, degraded, terminal) wake
+// it.  A wake sets a pending flag under its own leaf mutex, so one
 // that lands mid-pass buys another pass instead of being lost; the
 // transition callback can fire with the service's lock held, which is why
 // it touches nothing but that flag and two atomics on the job (its latest
@@ -49,7 +37,8 @@
 // best cost (the anytime payload) and serialized so no sample follows the
 // terminal report.  Event callbacks are never invoked while the scheduler
 // lock is held, and `on_accepted` fires before the job becomes visible to
-// any worker — `accepted` always precedes the first `sample` on the wire.
+// the dispatcher — `accepted` always precedes the first `sample` on the
+// wire.
 #pragma once
 
 #include <array>
@@ -73,19 +62,13 @@ struct ServeJob;
 }  // namespace detail
 
 struct SchedulerOptions {
-  /// Warm worker threads (each runs one job at a time, in-thread).
-  std::size_t warm_workers = 2;
-  /// Jobs whose thread-lease estimate (walkers capped by max_threads;
-  /// 1 for non-threaded scheduling) is <= this run on the warm path.
-  std::size_t warm_lease_threshold = 1;
-  /// Most jobs a warm worker claims per lane visit.
-  std::size_t warm_batch_max = 8;
-  /// Most service-path jobs submitted into the SolverService at once; the
-  /// rest wait in lanes where priority order (and preemption) applies.
+  /// Ignored; kept because perfbench/src/preempt.cpp still sets it.
+  std::size_t warm_lease_threshold = 0;
+  /// Most jobs submitted into the SolverService at once; the rest wait
+  /// in lanes where priority order (and preemption) applies.
   std::size_t service_inflight = 4;
-  /// Admission control: most jobs queued per priority lane (warm + service
-  /// lanes of one priority counted together, in-flight/claimed jobs not
-  /// counted).  A submit to a full lane is rejected with the stable
+  /// Admission control: most jobs queued per priority lane (in-flight jobs
+  /// not counted).  A submit to a full lane is rejected with the stable
   /// `overloaded` protocol error (HTTP 429) before `accepted` fires.
   /// 0 = unbounded (the default).
   std::size_t max_lane_depth = 0;
@@ -98,13 +81,13 @@ struct SchedulerOptions {
   bool preempt_running = true;
   /// Sample period for streaming jobs that did not pick one.
   std::uint64_t default_sample_period = 256;
-  /// The service path's knobs (thread budget, per-job cap).
+  /// The service's knobs (thread budget, per-job cap).
   api::SolverService::Options service;
 };
 
-/// Per-job event sinks; all fired off the submitting thread (workers, the
-/// dispatcher) except on_accepted, which fires synchronously inside
-/// submit() — before the job is visible to any worker.  Must be
+/// Per-job event sinks; all fired off the submitting thread (service
+/// runners, the dispatcher) except on_accepted, which fires synchronously
+/// inside submit() — before the job is visible to the dispatcher.  Must be
 /// thread-safe; must stay valid until on_report has fired.
 struct JobEvents {
   std::function<void(std::uint64_t id)> on_accepted;
@@ -123,12 +106,11 @@ struct JobEvents {
       on_report;
 };
 
-/// Point-in-time scheduler counters (the service path's own counters live
+/// Point-in-time scheduler counters (the service's own counters live
 /// in api::ServiceStats, reported alongside).
 struct SchedulerStats {
-  std::array<std::size_t, kNumLanes> queued{};  ///< per lane, both paths
-  std::size_t inflight = 0;     ///< submitted into the service, not reaped
-  std::size_t warm_active = 0;  ///< claimed by warm workers, not finalized
+  std::array<std::size_t, kNumLanes> queued{};  ///< per lane
+  std::size_t inflight = 0;  ///< submitted into the service, not reaped
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
   std::uint64_t cancelled = 0;
@@ -138,10 +120,10 @@ struct SchedulerStats {
                                         ///< checkpoint and requeued
   std::uint64_t resumed = 0;            ///< checkpoint-carrying resubmissions
   std::uint64_t rejected_overload = 0;  ///< submits refused: lane at depth cap
-  std::uint64_t givebacks = 0;      ///< warm jobs returned unstarted
-  std::uint64_t batches = 0;        ///< warm batch claims
-  std::uint64_t batched_jobs = 0;   ///< warm jobs claimed across batches
-  std::uint64_t fused_jobs = 0;  ///< always 0; the perfbench harness reads it
+  std::uint64_t givebacks = 0;     ///< always 0, off the wire; perfbench reads
+  std::uint64_t batches = 0;       ///< always 0, off the wire; perfbench reads
+  std::uint64_t batched_jobs = 0;  ///< always 0, off the wire; perfbench reads
+  std::uint64_t fused_jobs = 0;    ///< always 0, off the wire; perfbench reads
 
   [[nodiscard]] util::Json to_json() const;
   [[nodiscard]] bool operator==(const SchedulerStats&) const = default;
@@ -181,14 +163,13 @@ class Scheduler {
   [[nodiscard]] api::ServiceStats service_stats() const;
 
   /// Cancel everything outstanding (each job still gets its on_report,
-  /// status "cancelled"), join workers and the dispatcher, shut the
-  /// service down.  Idempotent; also run by the destructor.
+  /// status "cancelled"), join the dispatcher, shut the service down.
+  /// Idempotent; also run by the destructor.
   void shutdown();
 
-  /// Job ids in the order their solve actually started (warm: the worker
-  /// picked it up; service: the first dispatcher pass after the service
-  /// reported it running) — the observable priority/preemption order, for
-  /// tests.
+  /// Job ids in the order their solve actually started (the first
+  /// dispatcher pass after the service reported it running) — the
+  /// observable priority/preemption order, for tests.
   [[nodiscard]] std::vector<std::uint64_t> started_order() const;
 
  private:
@@ -200,10 +181,7 @@ class Scheduler {
     std::string error;
   };
 
-  void warm_loop();
   void dispatch_loop();
-  std::string run_warm(detail::ServeJob& job);
-  [[nodiscard]] bool warm_lanes_empty() const;  ///< caller holds m_
   void finalize(const Finalization& f);
 
   SchedulerOptions options_;
@@ -219,9 +197,7 @@ class Scheduler {
   api::SolverService service_;
 
   mutable std::mutex m_;
-  std::condition_variable warm_cv_;
-  std::array<std::deque<JobPtr>, kNumLanes> warm_lanes_;
-  std::array<std::deque<JobPtr>, kNumLanes> service_lanes_;
+  std::array<std::deque<JobPtr>, kNumLanes> lanes_;
   std::unordered_map<std::uint64_t, JobPtr> jobs_;  ///< live (non-terminal)
   std::vector<JobPtr> inflight_;
   std::vector<std::uint64_t> started_order_;
@@ -229,7 +205,6 @@ class Scheduler {
   bool stopping_ = false;
   bool joined_ = false;
 
-  std::size_t warm_active_ = 0;
   std::uint64_t submitted_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t cancelled_ = 0;
@@ -238,15 +213,11 @@ class Scheduler {
   std::uint64_t preempted_running_ = 0;
   std::uint64_t resumed_ = 0;
   std::uint64_t rejected_overload_ = 0;
-  std::uint64_t givebacks_ = 0;
   /// Submissions past the depth check but not yet laned (submit drops m_
   /// to fire on_accepted); counted by the admission bound so concurrent
   /// submits cannot overshoot it.
   std::array<std::size_t, kNumLanes> admitting_{};
-  std::uint64_t batches_ = 0;
-  std::uint64_t batched_jobs_ = 0;
 
-  std::vector<std::thread> warm_threads_;
   std::thread dispatcher_;
 };
 

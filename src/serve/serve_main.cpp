@@ -27,15 +27,9 @@ int main(int argc, char** argv) {
   util::ArgParser args("cspls_serve",
                        "JSON-lines solve server (stdio, optional HTTP)");
   args.add_uint64("threads", 0,
-                  "walker-thread budget of the service path (0 = hardware "
+                  "walker-thread budget of the service (0 = hardware "
                   "concurrency)");
-  args.add_uint64("warm-workers", 2, "warm-pool worker threads");
-  args.add_uint64("warm-threshold", 1,
-                  "thread-lease estimate at or below which a job runs on "
-                  "the warm path");
-  args.add_uint64("batch", 8, "most jobs a warm worker claims per visit");
-  args.add_uint64("inflight", 4,
-                  "most service-path jobs inside the service at once");
+  args.add_uint64("inflight", 4, "most jobs inside the service at once");
   args.add_uint64("sample-period", 256,
                   "default sample period (iterations) for streaming jobs");
   args.add_uint64("max-line-bytes", 1 << 20, "request line/body size limit");
@@ -60,10 +54,6 @@ int main(int argc, char** argv) {
   }
 
   serve::SchedulerOptions options;
-  options.warm_workers = static_cast<std::size_t>(args.get_uint64("warm-workers"));
-  options.warm_lease_threshold =
-      static_cast<std::size_t>(args.get_uint64("warm-threshold"));
-  options.warm_batch_max = static_cast<std::size_t>(args.get_uint64("batch"));
   options.service_inflight =
       static_cast<std::size_t>(args.get_uint64("inflight"));
   options.default_sample_period = args.get_uint64("sample-period");

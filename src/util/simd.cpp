@@ -25,18 +25,21 @@ bool one_shot_enabled() {
   return enabled;
 }
 
-const char* detect_tier_name() {
+std::string detect_tier_name() {
   if (!one_shot_enabled()) return "scalar";
-#if CSPLS_SIMD_VECTOR_EXT && defined(__x86_64__)
-  if (__builtin_cpu_supports("avx512f")) return "vector-ext[avx512f]";
-  if (__builtin_cpu_supports("avx2")) return "vector-ext[avx2]";
-  if (__builtin_cpu_supports("sse4.2")) return "vector-ext[sse4.2]";
-  return "vector-ext[sse2]";
-#elif CSPLS_SIMD_VECTOR_EXT
-  return "vector-ext";
-#else
-  return "scalar";
+  std::string name = std::string("vector-ext[compiled=") + compiled_isa();
+#if defined(__x86_64__)
+  const char* cpu = "sse2";
+  if (__builtin_cpu_supports("avx512f")) {
+    cpu = "avx512f";
+  } else if (__builtin_cpu_supports("avx2")) {
+    cpu = "avx2";
+  } else if (__builtin_cpu_supports("sse4.2")) {
+    cpu = "sse4.2";
+  }
+  name = name + ",cpu=" + cpu;
 #endif
+  return name + "]";
 }
 
 }  // namespace
@@ -52,8 +55,8 @@ void set_force_scalar(bool force) noexcept {
 
 const char* tier_name() noexcept {
   if (g_force_scalar.load(std::memory_order_relaxed)) return "scalar(forced)";
-  static const char* const name = detect_tier_name();
-  return name;
+  static const std::string name = detect_tier_name();
+  return name.c_str();
 }
 
 }  // namespace cspls::util::simd

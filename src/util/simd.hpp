@@ -52,7 +52,24 @@ namespace cspls::util::simd {
 /// only flip between solves, never while walkers are running.
 void set_force_scalar(bool force) noexcept;
 
-/// Human-readable active tier, e.g. "vector-ext[avx2,avx512f]" or "scalar".
+/// The widest x86 ISA this build was compiled for, from the compiler's
+/// predefined macros ("generic" off x86-64).
+[[nodiscard]] constexpr const char* compiled_isa() noexcept {
+#if defined(__AVX512F__)
+  return "avx512f";
+#elif defined(__AVX2__)
+  return "avx2";
+#elif defined(__SSE4_2__)
+  return "sse4.2";
+#elif defined(__x86_64__)
+  return "sse2";
+#else
+  return "generic";
+#endif
+}
+
+/// Human-readable active tier naming the build and the CPU apart, e.g.
+/// "vector-ext[compiled=sse2,cpu=avx512f]", or "scalar".
 [[nodiscard]] const char* tier_name() noexcept;
 
 /// Smallest multiple of `lanes` >= n (scratch padding for full-lane loads).

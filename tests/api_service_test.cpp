@@ -10,10 +10,16 @@
 #include <condition_variable>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#ifdef __linux__
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
 
 #include "util/timer.hpp"
 
@@ -250,6 +256,35 @@ TEST(SolverService, DeepQueueDrainsWithoutThreadGrowth) {
   }
   EXPECT_EQ(service.pending_jobs(), 0u);
 }
+
+#ifdef __linux__
+TEST(SolverService, RunnerThreadsAreReusedAcrossJobs) {
+  // No thread per job: 64 single-lease jobs on a budget of two run on at
+  // most two kernel threads, whichever order they start in.
+  SolverService service(SolverService::Options{2, 0});
+  std::mutex m;
+  std::set<long> thread_ids;
+  JobStream stream;
+  stream.on_transition = [&](JobStatus status) {
+    if (status != JobStatus::kRunning) return;
+    const std::lock_guard<std::mutex> guard(m);
+    thread_ids.insert(::syscall(SYS_gettid));
+  };
+  std::vector<JobHandle> jobs;
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    SolveRequest request = quick_request(seed);
+    request.walkers = 1;
+    jobs.push_back(service.submit(request, stream));
+  }
+  for (const JobHandle& job : jobs) {
+    (void)job.wait();
+    EXPECT_EQ(job.status(), JobStatus::kDone);
+  }
+  const std::lock_guard<std::mutex> guard(m);
+  EXPECT_GE(thread_ids.size(), 1u);
+  EXPECT_LE(thread_ids.size(), 2u);
+}
+#endif
 
 // --- Shutdown / completion races (exercised under the CI TSan leg) -----
 

@@ -272,9 +272,6 @@ TEST(AsyncGossipValidation, AsyncWithoutAnExchangeIsRejected) {
 
 TEST(AsyncGossipValidation, DefaultModeIsOnReset) {
   EXPECT_EQ(CommunicationPolicy{}.mode, CommMode::kOnReset);
-  // The deprecated Topology aliases keep the historical semantics.
-  EXPECT_EQ(CommunicationPolicy{Topology::kRingElite}.mode,
-            CommMode::kOnReset);
 }
 
 }  // namespace

@@ -25,6 +25,14 @@ namespace {
 /// a hard iteration budget every walker runs exactly `restart_limit`
 /// iterations — the preempt trip point is always genuinely mid-run and the
 /// reference report is deterministic under every scheduling mode.
+/// The complete neighbourhood with the elite exchange, default knobs.
+CommunicationPolicy shared_elite() {
+  CommunicationPolicy policy;
+  policy.neighborhood = Neighborhood::kComplete;
+  policy.exchange = Exchange::kElite;
+  return policy;
+}
+
 WalkerPoolOptions base_options(Scheduling scheduling, std::size_t num_walkers,
                                std::uint64_t master_seed) {
   WalkerPoolOptions options;
@@ -120,7 +128,7 @@ TEST(PoolCheckpoint, ResumeRestoresEliteStateAndCommCounters) {
   const problems::Langford langford(5);
   WalkerPoolOptions options =
       base_options(Scheduling::kSequential, 4, 2024);
-  options.communication = CommunicationPolicy(Topology::kSharedElite);
+  options.communication = shared_elite();
   const MultiWalkReport reference = WalkerPool(options).run(langford);
 
   const std::optional<PoolCheckpoint> checkpoint =
@@ -162,7 +170,7 @@ TEST(PoolCheckpoint, JsonRoundTripIsExactAndStrict) {
   const problems::Langford langford(5);
   WalkerPoolOptions options =
       base_options(Scheduling::kSequential, 3, 42);
-  options.communication = CommunicationPolicy(Topology::kSharedElite);
+  options.communication = shared_elite();
   options.trace.enabled = true;
   options.trace.sample_period = 32;
   const std::optional<PoolCheckpoint> checkpoint =
@@ -211,7 +219,7 @@ TEST(PoolCheckpoint, ResumeValidatesWalkerCountAndEliteShape) {
                std::invalid_argument);
 
   WalkerPoolOptions wrong_elite = options;
-  wrong_elite.communication = CommunicationPolicy(Topology::kSharedElite);
+  wrong_elite.communication = shared_elite();
   wrong_elite.resume = checkpoint;  // captured with communication off
   EXPECT_THROW((void)WalkerPool(wrong_elite).run(langford),
                std::invalid_argument);
@@ -224,7 +232,7 @@ TEST(PoolCheckpoint, ResumeRejectsConfigurationsOutsideTheValueSet) {
   // runs, wherever they sit in the checkpoint.
   const problems::Langford langford(5);
   WalkerPoolOptions options = base_options(Scheduling::kSequential, 3, 42);
-  options.communication = CommunicationPolicy(Topology::kSharedElite);
+  options.communication = shared_elite();
   const std::optional<PoolCheckpoint> checkpoint =
       preempt_run(langford, options, 128);
   ASSERT_TRUE(checkpoint.has_value());

@@ -363,41 +363,6 @@ TEST(WalkerPoolEquivalence, RingEliteViaNewApiReproducesPr1Trajectories) {
   expect_matches_reference(WalkerPool(pool).run(langford), reference);
 }
 
-TEST(WalkerPoolEquivalence, TopologyAliasConstructorSpellsTheSamePolicies) {
-  CommunicationPolicy independent{Topology::kIndependent};
-  EXPECT_EQ(independent.neighborhood, Neighborhood::kIsolated);
-  EXPECT_EQ(independent.exchange, Exchange::kNone);
-  CommunicationPolicy shared{Topology::kSharedElite};
-  EXPECT_EQ(shared.neighborhood, Neighborhood::kComplete);
-  EXPECT_EQ(shared.exchange, Exchange::kElite);
-  CommunicationPolicy ring{Topology::kRingElite};
-  EXPECT_EQ(ring.neighborhood, Neighborhood::kRing);
-  EXPECT_EQ(ring.exchange, Exchange::kElite);
-  // The alias keeps the knob defaults of the original CommunicationPolicy.
-  EXPECT_EQ(ring.period, CommunicationPolicy{}.period);
-  EXPECT_EQ(ring.adopt_probability, CommunicationPolicy{}.adopt_probability);
-  EXPECT_EQ(ring.decay, 0u);
-
-  // And an aliased pool run is byte-identical to the spelled-out one.
-  problems::Langford langford(5);
-  WalkerPoolOptions spelled =
-      exchanging_options(Neighborhood::kRing, Exchange::kElite);
-  WalkerPoolOptions aliased = spelled;
-  aliased.communication = CommunicationPolicy(Topology::kRingElite);
-  aliased.communication.period = spelled.communication.period;
-  aliased.communication.adopt_probability =
-      spelled.communication.adopt_probability;
-  const auto a = WalkerPool(spelled).run(langford);
-  const auto b = WalkerPool(aliased).run(langford);
-  ASSERT_EQ(a.walkers.size(), b.walkers.size());
-  for (std::size_t i = 0; i < a.walkers.size(); ++i) {
-    EXPECT_EQ(a.walkers[i].result.stats.iterations,
-              b.walkers[i].result.stats.iterations);
-    EXPECT_EQ(a.walkers[i].result.solution, b.walkers[i].result.solution);
-  }
-  EXPECT_EQ(a.elite_accepted, b.elite_accepted);
-}
-
 // --- The new neighbourhoods and exchange strategies ---------------------
 
 TEST(WalkerPool, MigrationOnTorusSolvesThreaded) {

@@ -256,7 +256,7 @@ TEST(ServeHttp, PipelinedRequestsAreNotDropped) {
 
 TEST(ServeHttp, AFullLaneAnswers429BeforeTheStreamHeader) {
   SchedulerOptions options;
-  options.warm_workers = 1;
+  options.service_inflight = 1;
   options.max_lane_depth = 1;
   Scheduler scheduler(options);
   HttpServer server(scheduler);

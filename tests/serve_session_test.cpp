@@ -100,8 +100,8 @@ TEST(ServeSession, StreamsAcceptedThenNonincreasingSamplesThenReport) {
 }
 
 TEST(ServeSession, FixedSeedReportIsByteIdenticalToInProcessSolver) {
-  // Warm path (sequential) and a threaded pool forced onto the warm path:
-  // the transport must add naming and framing, never behaviour.
+  // A sequential job and a threaded pool, both through the service: the
+  // transport must add naming and framing, never behaviour.
   // kBestAfterBudget so per-walker trajectories are deterministic even on
   // real threads (kFirstFinisher's winner would race wall-clock).
   api::SolveRequest threaded = small_request(99);
@@ -112,10 +112,7 @@ TEST(ServeSession, FixedSeedReportIsByteIdenticalToInProcessSolver) {
 
   for (const api::SolveRequest& request :
        {small_request(123), threaded}) {
-    SchedulerOptions options;
-    options.warm_lease_threshold = 8;  // keep both on the Solver-direct path
-    const auto events =
-        serve_lines({solve_line(request, false, 0)}, options);
+    const auto events = serve_lines({solve_line(request, false, 0)});
     ASSERT_EQ(events.size(), 2u);
     ASSERT_EQ(events.back().at("event").as_string(), "report");
 
@@ -172,7 +169,7 @@ TEST(ServeSession, BadRequestBodyAndUnknownJobCancelAreStructuredErrors) {
   EXPECT_EQ(events[1].at("code").as_string(), "unknown_job");
   EXPECT_EQ(events[2].at("event").as_string(), "stats");
   // Both stat panes carry their schema.
-  EXPECT_TRUE(events[2].at("scheduler").contains("batches"));
+  EXPECT_TRUE(events[2].at("scheduler").contains("inflight"));
   EXPECT_TRUE(events[2].at("scheduler").contains("preempted_queued"));
   EXPECT_TRUE(events[2].at("scheduler").contains("preempted_running"));
   EXPECT_TRUE(events[2].at("scheduler").contains("rejected_overload"));

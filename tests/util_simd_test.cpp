@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -55,6 +56,40 @@ TEST(SimdUtil, RuntimeTierToggle) {
   if (!simd::compiled_with_vectors()) {
     EXPECT_FALSE(simd::runtime_enabled());
   }
+}
+
+TEST(SimdUtil, TierNameLabelsTheBuildAndTheCpuApart) {
+  const std::string name = simd::tier_name();
+  if (!simd::runtime_enabled()) {
+    EXPECT_EQ(name, "scalar");
+    return;
+  }
+  const std::string compiled = simd::compiled_isa();
+  const std::string prefix = "vector-ext[compiled=" + compiled;
+  ASSERT_EQ(name.rfind(prefix, 0), 0u) << name;
+  ASSERT_EQ(name.back(), ']') << name;
+#if defined(__x86_64__)
+  // A running binary proves the CPU has every ISA the build targets, so
+  // the CPU never ranks below the compiled ISA.
+  const std::array<std::string, 4> ranks = {"sse2", "sse4.2", "avx2",
+                                            "avx512f"};
+  const std::string cpu_key = ",cpu=";
+  const std::size_t at = name.find(cpu_key);
+  ASSERT_NE(at, std::string::npos) << name;
+  const std::string cpu =
+      name.substr(at + cpu_key.size(), name.size() - at - cpu_key.size() - 1);
+  const auto rank = [&](const std::string& isa) {
+    for (std::size_t i = 0; i < ranks.size(); ++i) {
+      if (ranks[i] == isa) return static_cast<int>(i);
+    }
+    return -1;
+  };
+  ASSERT_GE(rank(cpu), 0) << name;
+  ASSERT_GE(rank(compiled), 0) << name;
+  EXPECT_GE(rank(cpu), rank(compiled)) << name;
+#else
+  EXPECT_EQ(name, prefix + "]");
+#endif
 }
 
 TEST(SimdI32, LoadStoreBroadcastIota) {
