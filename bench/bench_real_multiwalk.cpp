@@ -1,7 +1,7 @@
 // Real-hardware multi-walk: the methodological anchor of the simulation.
 //
 // The figure harnesses extrapolate to 256 cores through order statistics;
-// this binary runs the *actual* std::jthread racing engine on this machine
+// this binary runs the *actual* threaded racing engine on this machine
 // and compares the measured mean time-to-solution against the same order-
 // statistics prediction E[T(k)] at the core counts this host actually has.
 // If the prediction is honest, the two must agree at k <= hardware threads

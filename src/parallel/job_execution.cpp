@@ -442,8 +442,11 @@ MultiWalkReport JobExecution::finalize() {
   report.comm_adoptions = comm_.adoptions();
   report.interrupt_cause = interrupt_cause;
   report.interrupted = interrupt_cause != core::StopCause::kNone;
+  // A solved threaded race is decided and needs no resume; any other solved
+  // run (best-after-budget, or the ordered modes, whose report is settled
+  // only once every walker has run) still owes its unfinished walkers.
   if (interrupt_cause == core::StopCause::kPreempted &&
-      options_.checkpoint_out != nullptr && !report.solved) {
+      options_.checkpoint_out != nullptr && !(race_ && report.solved)) {
     // A failed assembly leaves *checkpoint_out empty: the preemption
     // degrades to a plain interrupt and the caller requeues cold.
     (void)assemble_checkpoint(report);

@@ -6,9 +6,11 @@
 //
 //   * run_walker(id)            body of walker `id`; thread-safe across
 //                               distinct ids (walkers share nothing but the
-//                               race flag), so the pool's wave scheduler
-//                               runs them concurrently under
-//                               Scheduling::kThreads;
+//                               race flag), so under Scheduling::kThreads
+//                               the pool's wave scheduler — a ticket
+//                               dispenser over preferred_threads() helpers
+//                               of its parked, process-wide thread team —
+//                               runs them concurrently;
 //   * run_walkers_one_by_one()  the strictly-ordered path (sequential /
 //                               emulated scheduling and the collapsed
 //                               threaded pool), with the between-walker

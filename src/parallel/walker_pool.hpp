@@ -7,7 +7,8 @@
 // three orthogonal policies instead of one hard-coded code path per regime.
 //
 //   Scheduling — how walkers execute:
-//     * kThreads       real std::jthread walkers racing on the hardware;
+//     * kThreads       walkers racing on OS threads, woken from a
+//                      process-wide team of parked helper threads;
 //     * kSequential    the same walker population run to completion one
 //                      after another (the sampling primitive of sim/);
 //     * kEmulatedRace  sequential execution, but the report replays the
@@ -63,7 +64,7 @@ namespace cspls::parallel {
 inline constexpr std::size_t kNoWinner = static_cast<std::size_t>(-1);
 
 enum class Scheduling {
-  kThreads,     ///< real std::jthread walkers racing on the hardware
+  kThreads,     ///< walkers racing on parked helper threads, reused per run
   kSequential,  ///< walkers executed to completion one after another
   /// Sequential execution whose kFirstFinisher reports replay the race on a
   /// deterministic iteration-synchronous machine.  Behaviourally identical

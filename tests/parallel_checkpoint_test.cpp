@@ -292,6 +292,39 @@ TEST(PoolCheckpoint, CancellationOutranksPreemptionAndCapturesNothing) {
   EXPECT_FALSE(checkpoint.has_value());
 }
 
+TEST(PoolCheckpoint, PreemptedBestAfterBudgetRunThatAlreadySolvedResumes) {
+  // Walker 0 solves, then walker 1 trips the preempt flag at its first
+  // sample: the report is solved and preempted at once.  Under
+  // kBestAfterBudget a solved walker decides nothing, so the run must
+  // still hand out a checkpoint whose resume finishes walker 1's budget.
+  const problems::Costas costas(9);
+  WalkerPoolOptions options;
+  options.num_walkers = 2;
+  options.master_seed = 77;
+  options.scheduling = Scheduling::kSequential;
+  options.termination = Termination::kBestAfterBudget;
+  const MultiWalkReport reference = WalkerPool(options).run(costas);
+  ASSERT_TRUE(reference.walkers[0].result.solved);
+
+  std::atomic<bool> preempt{false};
+  std::optional<PoolCheckpoint> checkpoint;
+  WalkerPoolOptions preempted = options;
+  preempted.preempt = &preempt;
+  preempted.checkpoint_out = &checkpoint;
+  preempted.sample_sink_period = 16;
+  preempted.sample_sink = [&](std::size_t walker, std::uint64_t, csp::Cost) {
+    if (walker == 1) preempt.store(true, std::memory_order_relaxed);
+  };
+  const MultiWalkReport interrupted = WalkerPool(preempted).run(costas);
+  EXPECT_TRUE(interrupted.solved);
+  EXPECT_EQ(interrupted.interrupt_cause, core::StopCause::kPreempted);
+  ASSERT_TRUE(checkpoint.has_value());
+
+  WalkerPoolOptions resume_options = options;
+  resume_options.resume = checkpoint;
+  expect_same_report(WalkerPool(resume_options).run(costas), reference);
+}
+
 /// The checkpoint_capture fault site: a corrupt capture (torn state) and a
 /// thrown capture both degrade the preemption to a plain interrupt — the
 /// report still says kPreempted but no checkpoint is handed out, so

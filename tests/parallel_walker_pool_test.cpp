@@ -3,16 +3,23 @@
 // RNG-stream identity), fixed-seed identity of the legacy communication
 // topologies spelled through the Neighborhood x ExchangeStrategy API, the
 // migration and decay-elite strategies, option validation,
-// best-after-budget termination and trace neutrality.  The race-protocol
-// and stream-seeding tests live in parallel_multi_walk_test.
+// best-after-budget termination, trace neutrality, and the parked helper
+// team threaded runs execute on (thread reuse, concurrent callers, the
+// idle-helper bound).  The race-protocol and stream-seeding tests live in
+// parallel_multi_walk_test.
 #include "parallel/walker_pool.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <thread>
 
 #include "core/adaptive_search.hpp"
 #include "parallel/elite_pool.hpp"
@@ -573,6 +580,115 @@ TEST(WalkerPool, SchedulingModesShareWalkerTrajectories) {
   const auto& winner_seq = sequential.walkers[emulated.winner].result;
   EXPECT_EQ(emulated.best.stats.iterations, winner_seq.stats.iterations);
   EXPECT_EQ(emulated.best.solution, winner_seq.solution);
+}
+
+// --- The parked helper team under threaded runs ---------------------------
+
+/// Hardware thread count as the helper team reads it (2 when unknown): the
+/// most helpers the team keeps parked between runs.
+std::size_t hardware_threads() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 2 : hw;
+}
+
+/// Threads of this process, from /proc/self/task.
+std::size_t live_threads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(std::distance(
+      std::filesystem::begin(tasks), std::filesystem::end(tasks)));
+}
+
+TEST(WalkerPoolTeam, BackToBackThreadedRunsReuseHelperThreads) {
+  if (hardware_threads() < 2) {
+    GTEST_SKIP() << "one hardware thread: the team parks a single helper, "
+                    "so a 2-thread run starts its second one every time";
+  }
+  problems::Costas costas(8);
+  std::mutex m;
+  std::set<pid_t> walker_threads;
+  WalkerPoolOptions pool;
+  pool.num_walkers = 2;
+  pool.scheduling = Scheduling::kThreads;
+  pool.termination = Termination::kFirstFinisher;
+  pool.sample_sink_period = std::uint64_t{1} << 62;  // iteration 0 only
+  pool.sample_sink = [&](std::size_t, std::uint64_t iteration, csp::Cost) {
+    if (iteration != 0) return;
+    const pid_t tid = ::gettid();
+    const std::lock_guard<std::mutex> lock(m);
+    walker_threads.insert(tid);
+  };
+  constexpr std::size_t kRuns = 50;
+  for (std::size_t run = 0; run < kRuns; ++run) {
+    pool.master_seed = run;
+    ASSERT_TRUE(WalkerPool(pool).run(costas).solved) << "run " << run;
+  }
+  // A thread per walker per run shows up to 2 * kRuns ids.  The team wakes
+  // parked helpers first and parks at most hardware_threads() of them, so
+  // the walkers of every run come from that set plus the run's own starts.
+  EXPECT_LE(walker_threads.size(), hardware_threads() + 2);
+}
+
+TEST(WalkerPoolTeam, ConcurrentThreadedRacesEachHaveOneWinner) {
+  constexpr std::size_t kClients = 8;
+  constexpr std::size_t kRacesPerClient = 10;
+  constexpr std::size_t kWalkers = 3;
+  std::vector<std::vector<MultiWalkReport>> reports(kClients);
+  {
+    std::vector<std::jthread> clients;
+    for (std::size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([c, &reports] {
+        const problems::Costas costas(10);
+        for (std::size_t r = 0; r < kRacesPerClient; ++r) {
+          WalkerPoolOptions pool;
+          pool.num_walkers = kWalkers;
+          pool.master_seed = 1000 * c + r;
+          pool.scheduling = Scheduling::kThreads;
+          pool.termination = Termination::kFirstFinisher;
+          reports[c].push_back(WalkerPool(pool).run(costas));
+        }
+      });
+    }
+  }
+  const problems::Costas costas(10);
+  for (std::size_t c = 0; c < kClients; ++c) {
+    ASSERT_EQ(reports[c].size(), kRacesPerClient);
+    for (const MultiWalkReport& report : reports[c]) {
+      ASSERT_TRUE(report.solved);
+      ASSERT_LT(report.winner, kWalkers);
+      ASSERT_EQ(report.walkers.size(), kWalkers);
+      const core::Result& winner = report.walkers[report.winner].result;
+      EXPECT_TRUE(winner.solved);
+      EXPECT_FALSE(winner.interrupted);
+      EXPECT_TRUE(costas.verify(report.best.solution));
+      EXPECT_FALSE(report.interrupted);
+      for (const WalkerOutcome& w : report.walkers) {
+        EXPECT_TRUE(w.result.solved || w.result.interrupted)
+            << "client " << c << " walker " << w.walker_id;
+      }
+    }
+  }
+}
+
+TEST(WalkerPoolTeam, WideRunLeavesAtMostHardwareThreadsParked) {
+  const std::size_t before = live_threads();
+  problems::Costas costas(8);
+  WalkerPoolOptions pool;
+  pool.num_walkers = 32;
+  pool.master_seed = 5;
+  pool.scheduling = Scheduling::kThreads;
+  pool.termination = Termination::kFirstFinisher;
+  const auto report = WalkerPool(pool).run(costas);
+  ASSERT_TRUE(report.solved);
+  ASSERT_EQ(report.walkers.size(), 32u);
+  // Helpers beyond the parked ones were joined before run() returned; a
+  // joined thread can stay listed for a moment while the kernel reaps it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (live_threads() > before + hardware_threads() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_LE(live_threads(), before + hardware_threads());
 }
 
 }  // namespace
